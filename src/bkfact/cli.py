@@ -29,7 +29,7 @@ from .lpdo import (
 )
 from .parsing import parse_poly
 from .poly import Box, Poly2, format_poly
-from .report import approx_factor_report, reduced_problem
+from .report import _theorem1_applicable, approx_factor_report, reduced_problem
 
 EX_OK = 0
 EX_VIOLATED = 1
@@ -224,8 +224,7 @@ def _cmd_sufficient(args, out) -> int:
     roots = _select_roots(op, args.root, decimals)
     box = Box(_parse_positive(args.m, decimals, "--m"), _parse_positive(args.n, decimals, "--n"))
     eps = _parse_positive(args.eps, decimals, "--eps")
-    theorem1_ok = (op.symbol.is_canonical and eps == 1 and box.m == 1 and box.n == 1
-                   and op.a10.degree <= 1 and op.a01.degree <= 1 and op.a00.degree <= 1)
+    theorem1_ok = _theorem1_applicable(op, eps, box)
     records = []
     for root in roots:
         difference = op.a00 - residual(op, root).r
@@ -280,27 +279,20 @@ _HANDLERS = {
 }
 
 
-def _run_once(argv: Sequence[str], out, err) -> int:
-    parser = build_parser()
-    args = parser.parse_args(list(argv))
-    if getattr(args, "input", None):
-        return _run_batch(argv, args, out, err)
-    return _HANDLERS[args.command](args, out)
-
-
-def _run_batch(argv: Sequence[str], args, out, err) -> int:
-    # Re-run the subcommand once per line, with the line's flags appended to
-    # the base invocation (minus --input itself).
-    base = list(argv)
-    for slot, token in enumerate(base):
-        if token == "--input":
-            del base[slot:slot + 2]
-            break
-        if token.startswith("--input="):
-            del base[slot:slot + 1]
-            break
+def _run_batch(parser, argv: Sequence[str], path: str, out) -> int:
+    # Run the subcommand once per line, parsing the base invocation (minus
+    # --input itself) with the line's flags appended, so the line's flags win.
+    base, tokens = [], iter(argv)
+    for token in tokens:
+        name = token.partition("=")[0]
+        # argparse accepts any unambiguous prefix, so --inp FILE is --input too.
+        if len(name) > 2 and "--input".startswith(name):
+            if "=" not in token:
+                next(tokens, None)
+        else:
+            base.append(token)
     try:
-        with open(args.input, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
     except OSError as exc:
         raise InputError(f"cannot read batch file: {exc}") from exc
@@ -310,8 +302,11 @@ def _run_batch(argv: Sequence[str], args, out, err) -> int:
         if not line or line.startswith("#"):
             continue
         try:
-            statuses.append(_run_once(base + shlex.split(line), out, err))
-        except (UsageError, InputError, BkfactError) as exc:
+            args = parser.parse_args(base + shlex.split(line))
+            if args.input is not None:
+                raise InputError("--input is not allowed in a batch file")
+            statuses.append(_HANDLERS[args.command](args, out))
+        except (UsageError, InputError, BkfactError, ValueError) as exc:
             raise InputError(f"batch line {lineno}: {exc}") from exc
     if EX_VIOLATED in statuses:
         return EX_VIOLATED
@@ -324,8 +319,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     out, err = sys.stdout, sys.stderr
+    parser = build_parser()
     try:
-        return _run_once(argv, out, err)
+        args = parser.parse_args(list(argv))
+        if getattr(args, "input", None):
+            return _run_batch(parser, argv, args.input, out)
+        return _HANDLERS[args.command](args, out)
     except UsageError as exc:
         print(f"bkfact: usage error: {exc}", file=err)
         return EX_USAGE

@@ -1,8 +1,10 @@
 """CLI behavior: golden outputs, JSON schema and determinism, exit codes."""
 
 import json
+import shlex
 from pathlib import Path
 
+import pytest
 from jsonschema import validate
 
 from bkfact.cli import main
@@ -196,3 +198,71 @@ class TestFlags:
 
     def test_batch_missing_file(self, capsys):
         assert run(capsys, "certify", "--input", "/nonexistent/batch.txt")[0] == 65
+
+
+# Per-subcommand batch lines.  The second line overrides base flags and the
+# third does not, so state leaking from one parsed line to the next shows.
+BATCH_BASE = {
+    "certify": ["--eps", "1/2", "--a10", "1/2*y"],
+    "sufficient": ["--eps", "1/2", "--a10", "1/2*y"],
+    "residual": ["--a10", "1/2*y"],
+}
+BATCH_LINES = {
+    "certify": ['--a00 "1/8*x + 1/16*y"', "--a00 2 --eps 2 --root 1", "--a00 2",
+                '--a00 "x^4" --depth 2'],
+    "sufficient": ['--a00 "1/8*x"', "--a00 1 --eps 2 --root 1", "--a00 1"],
+    "residual": ['--a01 "x*y"', "--a10 x --root 1", "--a01 y"],
+}
+
+
+def _worst(statuses):
+    if 1 in statuses:
+        return 1
+    return 2 if 2 in statuses else 0
+
+
+class TestBatch:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command", sorted(BATCH_LINES))
+    def test_matches_single_shot(self, capsys, tmp_path, command, fmt):
+        base = [command, "--format", fmt] + BATCH_BASE[command]
+        lines = BATCH_LINES[command]
+        batch = tmp_path / "batch.txt"
+        batch.write_text("# comment\n\n" + "\n".join(lines) + "\n")
+        expected, statuses = "", []
+        for line in lines:
+            status, out, err = run(capsys, *base, *shlex.split(line))
+            assert err == ""
+            expected += out
+            statuses.append(status)
+        assert command == "residual" or len(set(statuses)) > 1  # residual always exits 0
+        status, out, err = run(capsys, *base, "--input", str(batch))
+        assert (status, out, err) == (_worst(statuses), expected, "")
+
+    def test_self_reference_rejected(self, capsys, tmp_path):
+        batch = tmp_path / "self.txt"
+        batch.write_text(f"# names itself\n--input {batch}\n")
+        status, out, err = run(capsys, "certify", "--input", str(batch))
+        assert status == 65 and out == ""
+        assert err == "bkfact: input error: batch line 2: --input is not allowed in a batch file\n"
+
+    def test_abbreviated_input_flag(self, capsys, tmp_path):
+        batch = tmp_path / "batch.txt"
+        batch.write_text("--a00 0\n")
+        assert run(capsys, "certify", "--inp", str(batch))[:2] == run(capsys, "certify")[:2]
+        batch.write_text(f"--inp={batch}\n")
+        status, _, err = run(capsys, "certify", "--input", str(batch))
+        assert status == 65 and "batch line 1: --input is not allowed" in err
+
+    def test_value_errors_name_the_line(self, capsys, tmp_path):
+        batch = tmp_path / "batch.txt"
+        batch.write_text('--a00 0\n--a00 "x\n')
+        status, _, err = run(capsys, "certify", "--input", str(batch))
+        assert status == 65
+        assert err == "bkfact: input error: batch line 2: No closing quotation\n"
+        # the exactness system raises ValueError off the canonical symbol
+        batch.write_text("--a02 -4\n")
+        status, _, err = run(capsys, "exact", "--input", str(batch))
+        assert status == 65
+        assert err == ("bkfact: input error: batch line 1: "
+                       "exactness system is defined for the canonical symbol\n")
