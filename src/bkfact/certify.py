@@ -265,29 +265,6 @@ class Extrema:
     interior_max_attained: bool
 
 
-def _edge_candidates(d: Poly2, box: Box) -> list[tuple[Point, Fraction, bool]]:
-    m, n = box.m, box.n
-    out: list[tuple[Point, Fraction, bool]] = []
-    for cx in (-m, m):
-        for cy in (-n, n):
-            out.append(((cx, cy), d.eval(cx, cy), False))
-    # Horizontal edges y = +/-n: vertex of the x-restriction, if interior.
-    for cy in (-n, n):
-        g = d.restrict("y", cy)
-        if g.coeff(2) != 0:
-            xv = -g.coeff(1) / (2 * g.coeff(2))
-            if -m < xv < m:
-                out.append(((xv, cy), g.eval(xv), False))
-    # Vertical edges x = +/-m.
-    for cx in (-m, m):
-        h = d.restrict("x", cx)
-        if h.coeff(2) != 0:
-            yv = -h.coeff(1) / (2 * h.coeff(2))
-            if -n < yv < n:
-                out.append(((cx, yv), h.eval(yv), False))
-    return out
-
-
 def _clip_line_to_box(p0: Point, direction: Point, box: Box
                       ) -> Optional[tuple[Point, bool]]:
     """Intersect the line p0 + t*direction with the box.
@@ -322,11 +299,12 @@ def _clip_line_to_box(p0: Point, direction: Point, box: Box
 
 
 def _critical_candidates(d: Poly2, box: Box) -> list[tuple[Point, Fraction, bool]]:
-    """Stationary points of the quadratic inside the closed box.
+    """Stationary points inside the closed box of a quadratic whose
+    gradient system is singular (4*a20*a02 = a11^2).
 
-    Solves the affine gradient system; a singular but consistent system
-    yields a critical line on which the quadratic is constant, a degenerate
-    gradient yields a constant polynomial.
+    A consistent system yields a critical line, on which the quadratic is
+    constant, or the whole box when d is constant; an inconsistent one
+    yields nothing.
     """
     a2 = d.coeff(2, 0)
     a11 = d.coeff(1, 1)
@@ -334,63 +312,83 @@ def _critical_candidates(d: Poly2, box: Box) -> list[tuple[Point, Fraction, bool
     cx = d.coeff(1, 0)
     cy = d.coeff(0, 1)
     # Gradient: (2*a2*x + a11*y + cx, a11*x + 2*b2*y + cy).
-    det = 4 * a2 * b2 - a11 * a11
-    out: list[tuple[Point, Fraction, bool]] = []
-    if det != 0:
-        x0 = (a11 * cy - 2 * b2 * cx) / det
-        y0 = (a11 * cx - 2 * a2 * cy) / det
-        if box.contains_closed(x0, y0):
-            interior = box.contains_open(x0, y0)
-            out.append(((x0, y0), d.eval(x0, y0), interior))
-        return out
     row1 = (2 * a2, a11)
     row2 = (a11, 2 * b2)
     if row1 == (0, 0) and row2 == (0, 0):
-        # No quadratic part at all.
-        if cx == 0 and cy == 0:
-            center = (Fraction(0), Fraction(0))
-            out.append((center, d.eval(0, 0), True))  # constant: attained everywhere
-        return out
+        # No quadratic part: a constant is attained everywhere.
+        return [((Fraction(0), Fraction(0)), d.coeff(0, 0), True)] if cx == cy == 0 else []
     if row1 == (0, 0):
         # det = 0 with row1 = 0 forces a2 = a11 = 0, so row2 = (0, 2*b2) with
         # b2 != 0: the critical set is the horizontal line y = -cy/(2*b2),
         # provided the first gradient equation 0 = -cx is consistent.
         if cx != 0:
-            return out
+            return []
         line_point = (Fraction(0), -cy / (2 * b2))
         direction = (Fraction(1), Fraction(0))
     elif row2 == (0, 0):
         # Symmetric: a11 = b2 = 0 and a2 != 0; vertical line x = -cx/(2*a2).
         if cy != 0:
-            return out
+            return []
         line_point = (-cx / (2 * a2), Fraction(0))
         direction = (Fraction(0), Fraction(1))
     else:
         # Two parallel nonzero rows; det = 0 then forces a2 != 0.
         lam = a11 / (2 * a2)
         if cy != lam * cx:
-            return out
+            return []
         line_point = (-cx / (2 * a2), Fraction(0))
         direction = (-a11, 2 * a2)
     clipped = _clip_line_to_box(line_point, direction, box)
-    if clipped is not None:
-        point, meets_open = clipped
-        out.append((point, d.eval(*point), meets_open))
-    return out
+    if clipped is None:
+        return []
+    point, meets_open = clipped
+    return [(point, d.eval(*point), meets_open)]
 
 
 def quad_box_extrema(d: Poly2, box: Box) -> Extrema:
     """Exact minimum and maximum of a total-degree <= 2 polynomial on the
     closed box, with exact attainment bookkeeping.
 
-    Candidates are the four corners, the interior vertices of the four edge
-    restrictions, and interior stationary points (isolated, along a critical
-    line, or everywhere for a constant).  An extremum over the closed box is
-    always attained at one of these.
+    One integer lift does the work: with x = m*u, y = n*v and L the common
+    denominator, L*d(m*u, n*v) = A*u^2 + B*u*v + C*v^2 + D*u + E*v + F on the
+    unit square.  Candidates are the four corners, each edge vertex strictly
+    inside its edge (|B*v + D| < 2|A| on v = +-1, |B*u + E| < 2|C| on
+    u = +-1), and, for det = 4AC - B^2 != 0, the stationary point
+    (nu, nv)/det = (B*E - 2C*D, B*D - 2A*E)/det if it lies in the closed
+    square, of value (2F*det + D*nu + E*nv)/(2*det*L).  Only candidates
+    become Fractions.  For det = 0 the critical line or constant is found in
+    the original coordinates.  An extremum over the closed box is always
+    attained at a candidate.
     """
     if d.degree > 2:
         raise DegreeTooHighError("exact box extrema require total degree <= 2")
-    candidates = _edge_candidates(d, box) + _critical_candidates(d, box)
+    m, n = box.m, box.n
+    nums, dens = [], []  # of each coeff * m^i * n^j; A..F are these times L
+    for i, j in ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)):
+        coeff = d.coeff(i, j)
+        nums.append(coeff.numerator * m.numerator ** i * n.numerator ** j)
+        dens.append(coeff.denominator * m.denominator ** i * n.denominator ** j)
+    scale = lcm(*dens)
+    a, b, c, du, dv, f = (num * (scale // den) for num, den in zip(nums, dens))
+    candidates = [((x, y), Fraction(a + c + f + b * u * v + du * u + dv * v, scale), False)
+                  for u, x in ((-1, -m), (1, m)) for v, y in ((-1, -n), (1, n))]
+    for s in (-1, 1):
+        # Edge v = s restricts to a*u^2 + qb*u + ..., edge u = s to c*v^2 + qb*v + ...
+        for lead, qb, rest, horizontal in ((a, b * s + du, c + dv * s + f, True),
+                                           (c, b * s + dv, a + du * s + f, False)):
+            if abs(qb) < 2 * abs(lead):
+                t = Fraction(-qb, 2 * lead)
+                candidates.append(((t * m, s * n) if horizontal else (s * m, t * n),
+                                   Fraction(4 * lead * rest - qb * qb, 4 * lead * scale), False))
+    det = 4 * a * c - b * b
+    if det == 0:
+        candidates += _critical_candidates(d, box)
+    else:
+        nu, nv = b * dv - 2 * c * du, b * du - 2 * a * dv
+        if abs(nu) <= abs(det) and abs(nv) <= abs(det):
+            candidates.append(((Fraction(nu, det) * m, Fraction(nv, det) * n),
+                               Fraction(2 * f * det + du * nu + dv * nv, 2 * det * scale),
+                               abs(nu) < abs(det) and abs(nv) < abs(det)))
     by_point: dict[Point, tuple[Fraction, bool]] = {}
     for point, value, interior in candidates:
         known = by_point.get(point)
@@ -477,13 +475,18 @@ def _inward_witness(d: Poly2, boundary_point: Point, eps: Fraction, sign: int
     terminates with an exactly verified interior witness.
     """
     bx, by = boundary_point
-    t = Fraction(1, 2)
+    # d(s*bx, s*by) = qa*s^2 + qb*s + qc along the ray; total degree <= 2.
+    qa = d.coeff(2, 0) * bx * bx + d.coeff(1, 1) * bx * by + d.coeff(0, 2) * by * by
+    qb = d.coeff(1, 0) * bx + d.coeff(0, 1) * by
+    qc = d.coeff(0, 0)
+    s = Fraction(1, 2)  # the factor 1 - t for t = 1/2, 1/4, 1/8, ...
     while True:
-        candidate = ((1 - t) * bx, (1 - t) * by)
-        value = d.eval(*candidate)
-        if (sign > 0 and value >= eps) or (sign < 0 and value <= -eps):
-            return candidate, value
-        t /= 2
+        if sign * ((qa * s + qb) * s + qc) >= eps:
+            candidate = (s * bx, s * by)
+            value = d.eval(*candidate)
+            if sign * value >= eps:
+                return candidate, value
+        s = (1 + s) / 2
 
 
 def certify_open_box(request: CertRequest) -> Certificate:

@@ -279,14 +279,18 @@ _HANDLERS = {
 }
 
 
+def _names_flag(token: str, flag: str) -> bool:
+    # argparse accepts any unambiguous prefix, so --inp FILE is --input too.
+    name = token.partition("=")[0]
+    return len(name) > 2 and flag.startswith(name)
+
+
 def _run_batch(parser, argv: Sequence[str], path: str, out) -> int:
     # Run the subcommand once per line, parsing the base invocation (minus
     # --input itself) with the line's flags appended, so the line's flags win.
     base, tokens = [], iter(argv)
     for token in tokens:
-        name = token.partition("=")[0]
-        # argparse accepts any unambiguous prefix, so --inp FILE is --input too.
-        if len(name) > 2 and "--input".startswith(name):
+        if _names_flag(token, "--input"):
             if "=" not in token:
                 next(tokens, None)
         else:
@@ -302,7 +306,11 @@ def _run_batch(parser, argv: Sequence[str], path: str, out) -> int:
         if not line or line.startswith("#"):
             continue
         try:
-            args = parser.parse_args(base + shlex.split(line))
+            words = shlex.split(line)
+            # --help would print the usage and exit in the middle of the run.
+            if any(word == "-h" or _names_flag(word, "--help") for word in words):
+                raise InputError("--help is not allowed in a batch file")
+            args = parser.parse_args(base + words)
             if args.input is not None:
                 raise InputError("--input is not allowed in a batch file")
             statuses.append(_HANDLERS[args.command](args, out))

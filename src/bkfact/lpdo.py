@@ -170,7 +170,10 @@ def residual(op: LPDO2, root: CharRoot) -> ResidualTrace:
     k = 2 * op.symbol.a20 * root.omega + op.symbol.a11
     if not root.simple or k == 0:
         raise NotSimpleRootError(f"root {root.omega} is not simple")
-    drift = characteristic_roots(op.symbol)[1].omega
+    if op.symbol.a20 == 0:
+        raise ZeroLeadingError("leading symbol coefficient a20 is zero")
+    # The other root by Vieta; the drift is along the larger of the two.
+    drift = max(root.omega, -op.symbol.a11 / op.symbol.a20 - root.omega)
     n_poly = root.omega * op.a10 + op.a01
     m_poly = op.symbol.a20 * op.a01 + (op.symbol.a20 * root.omega + op.symbol.a11) * op.a10
     s = n_poly / k

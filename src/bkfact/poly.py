@@ -121,11 +121,11 @@ class Poly2:
             return NotImplemented
         out = dict(self._terms)
         for key, coeff in other._terms.items():
-            total = out.get(key, Fraction(0)) + coeff
+            total = out[key] + coeff if key in out else coeff
             if total:
                 out[key] = total
             else:
-                out.pop(key, None)
+                del out[key]
         result = Poly2.zero()
         result._terms = out
         return result
@@ -142,6 +142,14 @@ class Poly2:
 
     def __mul__(self, other: "Poly2 | Scalar") -> "Poly2":
         if isinstance(other, Poly2):
+            many, single = (other, self) if len(self._terms) == 1 else (self, other)
+            if len(single._terms) == 1:
+                # A one-term factor gives distinct, nonzero product terms.
+                ((i2, j2), c2), = single._terms.items()
+                result = Poly2.zero()
+                result._terms = {(i1 + i2, j1 + j2): c1 * c2
+                                 for (i1, j1), c1 in many._terms.items()}
+                return result
             out: dict[tuple[int, int], Fraction] = {}
             for (i1, j1), c1 in self._terms.items():
                 for (i2, j2), c2 in other._terms.items():
@@ -173,6 +181,9 @@ class Poly2:
     def __pow__(self, n: int) -> "Poly2":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        if len(self._terms) == 1:
+            ((i, j), coeff), = self._terms.items()
+            return Poly2.monomial(i * n, j * n, coeff ** n)
         result = Poly2.const(1)
         for _ in range(n):
             result = result * self

@@ -6,7 +6,8 @@ import math
 import random
 from fractions import Fraction
 
-from bkfact import Box, Poly2
+from bkfact import Box, CertifiedInside, Extrema, Poly2, Violated
+from bkfact.certify import _critical_candidates
 
 
 def rand_frac(rng: random.Random, num_max: int = 9, den_max: int = 9) -> Fraction:
@@ -96,3 +97,71 @@ def exact_grid_extrema(d: Poly2, box: Box, grid_k: int) -> tuple[Fraction, Fract
         lo = row_lo if lo is None or row_lo < lo else lo
         hi = row_hi if hi is None or row_hi > hi else hi
     return Fraction(lo, scale), Fraction(hi, scale)
+
+
+def reference_quad_extrema(d: Poly2, box: Box) -> Extrema:
+    """Exact extrema of a total-degree <= 2 polynomial on the closed box by
+    the restriction route (independent of quad_box_extrema's integer lift):
+    corners and edge vertices come from Poly2.restrict and eval in the
+    original coordinates, and so does the isolated stationary point."""
+    assert d.degree <= 2
+    m, n = box.m, box.n
+    candidates = [((cx, cy), d.eval(cx, cy), False) for cx in (-m, m) for cy in (-n, n)]
+    for axis, bound, other in (("y", n, m), ("x", m, n)):
+        for fixed in (-bound, bound):
+            g = d.restrict(axis, fixed)
+            if g.coeff(2) != 0:
+                t = -g.coeff(1) / (2 * g.coeff(2))
+                if -other < t < other:
+                    point = (t, fixed) if axis == "y" else (fixed, t)
+                    candidates.append((point, g.eval(t), False))
+    # Stationary points in the original coordinates: an isolated one when the
+    # gradient system is regular, else _critical_candidates' line/constant.
+    a2, a11, b2 = d.coeff(2, 0), d.coeff(1, 1), d.coeff(0, 2)
+    cx, cy = d.coeff(1, 0), d.coeff(0, 1)
+    det = 4 * a2 * b2 - a11 * a11
+    if det == 0:
+        candidates += _critical_candidates(d, box)
+    else:
+        x0, y0 = (a11 * cy - 2 * b2 * cx) / det, (a11 * cx - 2 * a2 * cy) / det
+        if box.contains_closed(x0, y0):
+            candidates.append(((x0, y0), d.eval(x0, y0), box.contains_open(x0, y0)))
+    by_point: dict = {}
+    for point, value, interior in candidates:
+        known = by_point.get(point)
+        if known is None or (interior and not known[1]):
+            by_point[point] = (value, interior)
+    max_val = max(value for value, _ in by_point.values())
+    min_val = min(value for value, _ in by_point.values())
+
+    def attainers(target):
+        points = sorted(pt for pt, (v, _) in by_point.items() if v == target)
+        return tuple(points), any(by_point[pt][1] for pt in points)
+
+    max_points, interior_max = attainers(max_val)
+    min_points, interior_min = attainers(min_val)
+    return Extrema(min_val=min_val, max_val=max_val,
+                   min_points=min_points, max_points=max_points,
+                   interior_min_attained=interior_min,
+                   interior_max_attained=interior_max)
+
+
+def reference_certificate(d: Poly2, box: Box, eps: Fraction, ext: Extrema):
+    """The degree <= 2 certificate from ext = reference_quad_extrema(d, box):
+    the open-box strictness rule, an interior attainer as witness when there
+    is one, else the boundary attainer pulled inward by halving until d.eval
+    shows the violation."""
+    hi_ok = ext.max_val < eps or (ext.max_val == eps and not ext.interior_max_attained)
+    lo_ok = ext.min_val > -eps or (ext.min_val == -eps and not ext.interior_min_attained)
+    if hi_ok and lo_ok:
+        return CertifiedInside(margin=eps - max(ext.max_val, -ext.min_val))
+    points, sign = (ext.max_points, 1) if not hi_ok else (ext.min_points, -1)
+    for point in points:
+        if box.contains_open(*point):
+            return Violated(witness=point, value=d.eval(*point))
+    t = Fraction(1, 2)
+    while True:
+        point = ((1 - t) * points[0][0], (1 - t) * points[0][1])
+        if sign * d.eval(*point) >= eps:
+            return Violated(witness=point, value=d.eval(*point))
+        t /= 2

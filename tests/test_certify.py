@@ -33,7 +33,15 @@ from bkfact import (
     triangle_sufficient,
     univariate_sufficient,
 )
-from helpers import difference_from_expansion, exact_grid_extrema, rand_frac, rand_poly2
+from helpers import (
+    difference_from_expansion,
+    exact_grid_extrema,
+    rand_frac,
+    rand_nonzero_frac,
+    rand_poly2,
+    reference_certificate,
+    reference_quad_extrema,
+)
 
 X = Poly2.var("x")
 Y = Poly2.var("y")
@@ -254,6 +262,52 @@ class TestQuadBoxExtrema:
                 allowance = Fraction(lx + ly, k)
                 assert ext.max_val - ghi <= allowance
                 assert glo - ext.min_val <= allowance
+
+
+def _random_quadratic(rng: random.Random, shape: int, box: Box) -> Poly2:
+    if shape == 0:  # general
+        return rand_poly2(rng, 2, num_max=9, den_max=9)
+    if shape in (1, 2):  # no x^2 term, or no y^2 term
+        p = rand_poly2(rng, 2)
+        key = (2, 0) if shape == 1 else (0, 2)
+        return p - Poly2.monomial(*key, p.coeff(*key))
+    if shape == 3:  # det = 0: a critical line when the linear part is parallel
+        p, q = rand_frac(rng), rand_frac(rng)
+        form = Poly2.affine(p, q, 0)
+        slope = rand_frac(rng) if rng.random() < 0.7 else rand_poly2(rng, 1)
+        return rand_frac(rng) * form * form + slope * form + Poly2.const(rand_frac(rng))
+    if shape == 4:  # constant, zero included
+        return Poly2.const(rand_frac(rng))
+    if shape == 5:  # affine
+        return rand_poly2(rng, 1, num_max=9, den_max=9)
+    if shape == 6:  # one variable only: an axis-parallel critical line
+        var = X if rng.random() < 0.5 else Y
+        return rand_frac(rng) * var * var + rand_frac(rng) * var + Poly2.const(rand_frac(rng))
+    # a stationary point on the boundary: an edge, or a corner
+    x0 = box.m * rng.choice((-1, 1))
+    y0 = box.n * Fraction(rng.randint(-4, 4), 4)
+    if rng.random() < 0.5:
+        x0, y0 = box.m * y0 / box.n, box.n * x0 / box.m
+    u, v = X - Poly2.const(x0), Y - Poly2.const(y0)
+    return (rand_nonzero_frac(rng) * u * u + rand_frac(rng) * u * v
+            + rand_nonzero_frac(rng) * v * v + Poly2.const(rand_frac(rng)))
+
+
+class TestIntegerLiftAgainstReference:
+    def test_extrema_and_certificates_match(self):
+        rng = random.Random(20261018)
+        for k in range(2400):
+            box = UNIT if k % 3 == 0 else Box(abs(rand_nonzero_frac(rng)),
+                                               abs(rand_nonzero_frac(rng)))
+            d = _random_quadratic(rng, k % 8, box)
+            ext = reference_quad_extrema(d, box)
+            assert quad_box_extrema(d, box) == ext, (d, box)
+            # eps = |max| and eps = |min| land exactly on the strictness rule.
+            for eps in {abs(ext.max_val), abs(ext.min_val), abs(rand_nonzero_frac(rng))}:
+                if eps > 0:
+                    request = CertRequest(d, box, eps)
+                    assert certify_open_box(request) == reference_certificate(d, box, eps, ext), \
+                        (d, box, eps)
 
 
 class TestCertifyOpenBox:

@@ -91,6 +91,14 @@ class TestGolden:
         assert status == 0
         assert out == (GOLDEN / "residual_cross.txt").read_text()
 
+    def test_batch_quadratic(self, capsys):
+        # Degree <= 2 cases: margin, interior and boundary-only violations,
+        # boundary-tight margin 0, critical lines, non-canonical symbols.
+        status, out, err = run(capsys, "certify", "--format", "json",
+                               "--input", str(GOLDEN / "batch_quadratic.txt"))
+        assert (status, err) == (1, "")
+        assert out == (GOLDEN / "batch_quadratic.json").read_text()
+
 
 class TestJson:
     def test_schema_and_determinism(self, capsys):
@@ -245,6 +253,16 @@ class TestBatch:
         status, out, err = run(capsys, "certify", "--input", str(batch))
         assert status == 65 and out == ""
         assert err == "bkfact: input error: batch line 2: --input is not allowed in a batch file\n"
+
+    @pytest.mark.parametrize("flag", ["--help", "-h", "--he"])
+    def test_help_rejected(self, capsys, tmp_path, flag):
+        # argparse would print the help and exit 0, skipping the third line
+        # and losing the first line's violation.
+        batch = tmp_path / "batch.txt"
+        batch.write_text(f"--a00 2\n{flag}\n--a00 3\n")
+        status, out, err = run(capsys, "certify", "--input", str(batch))
+        assert status == 65 and out == run(capsys, "certify", "--a00", "2")[1]
+        assert err == "bkfact: input error: batch line 2: --help is not allowed in a batch file\n"
 
     def test_abbreviated_input_flag(self, capsys, tmp_path):
         batch = tmp_path / "batch.txt"

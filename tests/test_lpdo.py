@@ -122,6 +122,35 @@ class TestResidual:
             minus = residual(LPDO2.canonical(a10, -a01), ROOT_MINUS).r
             assert plus == minus
 
+    def test_drift_is_the_larger_root(self):
+        # residual takes the other root by Vieta; the drift must still be
+        # the larger root that characteristic_roots reports.
+        rng = random.Random(11)
+        for _ in range(200):
+            lead = rand_frac(rng)
+            if lead == 0:
+                continue
+            w1, w2 = rand_frac(rng), rand_frac(rng)
+            if w1 == w2:
+                continue
+            symbol = PrincipalSymbol(lead, -lead * (w1 + w2), lead * w1 * w2)
+            drift = characteristic_roots(symbol)[1].omega
+            a10 = rand_poly2(rng, 1)
+            op = LPDO2(symbol, a10, Poly2.zero(), Poly2.zero())
+            for root in characteristic_roots(symbol):
+                k = 2 * lead * root.omega + symbol.a11
+                # a01 = 0: N = omega*a10, M = (a20*omega + a11)*a10.
+                s = root.omega * a10 / k
+                m_poly = (lead * root.omega + symbol.a11) * a10
+                expected = s.diff("x") - drift * s.diff("y") + s * m_poly / k
+                assert residual(op, root).r == expected
+
+    def test_zero_leading_root_rejected(self):
+        # 0*z^2 + z - 1 vanishes at 1 with k = 1, but has no second root.
+        op = LPDO2(PrincipalSymbol(0, 1, -1), X, Y, Poly2.zero())
+        with pytest.raises(ZeroLeadingError):
+            residual(op, CharRoot(1, True))
+
     def test_noncanonical_symbol(self):
         # Symbol z^2 - 3z + 2 has roots 1 and 2; exactness is still decided
         # by a00 = R with the general formula.

@@ -73,6 +73,20 @@ class TestArithmetic:
         one = Poly2.const(1)
         assert poly_mul(X + one, X - one) == X * X - one
 
+    def test_one_term_factors(self):
+        # Products with a one-term factor and powers of one term skip the
+        # general loop; values must still multiply pointwise.
+        rng = random.Random(5)
+        for _ in range(100):
+            p = rand_poly2(rng, 3)
+            term = Poly2.monomial(rng.randint(0, 3), rng.randint(0, 3), rand_frac(rng))
+            k = rng.randint(0, 5)
+            x, y = rand_frac(rng), rand_frac(rng)
+            assert (p * term).eval(x, y) == (term * p).eval(x, y) == p.eval(x, y) * term.eval(x, y)
+            assert (term ** k).eval(x, y) == term.eval(x, y) ** k
+        assert (X ** 3) * Y == Poly2.monomial(3, 1)
+        assert Poly2.const(0) * X == Poly2.zero()
+
     def test_product_degree_additivity(self):
         rng = random.Random(101)
         for _ in range(50):
