@@ -70,15 +70,11 @@ from .lpdo import (
 from .parsing import parse_poly
 from .poly import (
     Box,
-    Poly1,
     Poly2,
     RangeEnclosure,
     as_fraction,
-    bernstein_enclosure,
     char_diff,
     format_poly,
-    linear_comb,
-    poly_mul,
 )
 from .report import Report, RootReport, approx_factor_report, reduced_problem
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 from typing import ClassVar, Optional, Union
 
 from .errors import DegreeTooHighError, PreconditionViolatedError
@@ -349,8 +348,8 @@ def quad_box_extrema(d: Poly2, box: Box) -> Extrema:
     """Exact minimum and maximum of a total-degree <= 2 polynomial on the
     closed box, with exact attainment bookkeeping.
 
-    One integer lift does the work: with x = m*u, y = n*v and L the common
-    denominator, L*d(m*u, n*v) = A*u^2 + B*u*v + C*v^2 + D*u + E*v + F on the
+    One integer lift does the work: with x = m*u, y = n*v and L from
+    d.lift(m, n), L*d(m*u, n*v) = A*u^2 + B*u*v + C*v^2 + D*u + E*v + F on the
     unit square.  Candidates are the four corners, each edge vertex strictly
     inside its edge (|B*v + D| < 2|A| on v = +-1, |B*u + E| < 2|C| on
     u = +-1), and, for det = 4AC - B^2 != 0, the stationary point
@@ -363,13 +362,9 @@ def quad_box_extrema(d: Poly2, box: Box) -> Extrema:
     if d.degree > 2:
         raise DegreeTooHighError("exact box extrema require total degree <= 2")
     m, n = box.m, box.n
-    nums, dens = [], []  # of each coeff * m^i * n^j; A..F are these times L
-    for i, j in ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)):
-        coeff = d.coeff(i, j)
-        nums.append(coeff.numerator * m.numerator ** i * n.numerator ** j)
-        dens.append(coeff.denominator * m.denominator ** i * n.denominator ** j)
-    scale = lcm(*dens)
-    a, b, c, du, dv, f = (num * (scale // den) for num, den in zip(nums, dens))
+    lifted, scale = d.lift(m, n)
+    a, b, c, du, dv, f = (lifted.get(key, 0)
+                          for key in ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)))
     candidates = [((x, y), Fraction(a + c + f + b * u * v + du * u + dv * v, scale), False)
                   for u, x in ((-1, -m), (1, m)) for v, y in ((-1, -n), (1, n))]
     for s in (-1, 1):
@@ -581,8 +576,9 @@ def sample_falsify(request: CertRequest, grid_k: int) -> Optional[GridWitness]:
 
     Points are visited row-major (i ascending outermost, then j) and the
     first violation is returned, or None after a full sweep.  Evaluation is
-    exact: the polynomial is lifted to integer coefficients by clearing
-    denominators once, so each grid value is an integer comparison.
+    exact: d.lift(m/K, n/K) gives integers c and L with L*D(m*i/K, n*j/K) =
+    sum of c*i^a*j^b, so each grid value is an integer polynomial at the
+    integer point (i, j), compared against eps*L.
     """
     if grid_k < 2:
         raise ValueError("grid resolution must be at least 2")
@@ -590,20 +586,12 @@ def sample_falsify(request: CertRequest, grid_k: int) -> Optional[GridWitness]:
     if d.is_zero:
         return None
     m, n, eps = request.box.m, request.box.n, request.eps
-    deg = d.degree
-    # N(i, j) = Q * K^deg * D(m*i/K, n*j/K) with integer coefficients.
-    scaled: dict[tuple[int, int], Fraction] = {}
-    for (i, j), coeff in d.terms():
-        scaled[(i, j)] = coeff * m ** i * n ** j * grid_k ** (deg - i - j)
-    denom_lcm = lcm(*(value.denominator for value in scaled.values()))
+    lifted, scale = d.lift(m / grid_k, n / grid_k)
     columns: dict[int, dict[int, int]] = {}
-    for (i, j), value in scaled.items():
-        lifted = value * denom_lcm
-        columns.setdefault(j, {})[i] = lifted.numerator
+    for (a, b), coeff in lifted.items():
+        columns.setdefault(b, {})[a] = coeff
     max_b = max(columns)
-    scale = denom_lcm * grid_k ** deg
-    threshold = eps * scale
-    t_num, t_den = threshold.numerator, threshold.denominator
+    t_num, t_den = eps.numerator * scale, eps.denominator  # |value| >= eps*L
     span = range(-(grid_k - 1), grid_k)
     for i in span:
         powers = [1]
@@ -613,15 +601,8 @@ def sample_falsify(request: CertRequest, grid_k: int) -> Optional[GridWitness]:
                for b in range(max_b + 1)]
         while len(row) > 1 and row[-1] == 0:
             row.pop()
-        if len(row) == 1:
-            # No y dependence on this row: one comparison covers every j.
-            if abs(row[0]) * t_den >= t_num:
-                j = span[0]
-                return GridWitness(x=Fraction(i, grid_k) * m,
-                                   y=Fraction(j, grid_k) * n,
-                                   value=Fraction(row[0], scale))
-            continue
-        for j in span:
+        # A row without y dependence has one value: its first point decides it.
+        for j in span if len(row) > 1 else span[:1]:
             value = 0
             for coeff in reversed(row):
                 value = value * j + coeff

@@ -17,10 +17,10 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .certify import Unknown, Violated, lifted_sufficient, triangle_sufficient
 from .errors import BkfactError, ParseError
 from .lpdo import (
     LPDO2,
+    CharRoot,
     PrincipalSymbol,
     characteristic_roots,
     exactness_system_deg1,
@@ -29,13 +29,14 @@ from .lpdo import (
 )
 from .parsing import parse_poly
 from .poly import Box, Poly2, format_poly
-from .report import _theorem1_applicable, approx_factor_report, reduced_problem
+from .report import approx_factor_report, sufficient_conditions, sufficient_json, sufficient_text
 
 EX_OK = 0
 EX_VIOLATED = 1
 EX_UNKNOWN = 2
 EX_USAGE = 64
 EX_DATA = 65
+_CERTIFICATE_STATUS = {"inside": EX_OK, "violated": EX_VIOLATED, "unknown": EX_UNKNOWN}
 
 
 class UsageError(Exception):
@@ -54,12 +55,9 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _parse_rational(text: str, decimals: bool) -> Fraction:
+    if "." in text and not decimals:
+        raise UsageError(f"decimal {text!r} rejected; pass --decimal-as-rational or use p/q form")
     try:
-        if "." in text:
-            if not decimals:
-                raise UsageError(
-                    f"decimal {text!r} rejected; pass --decimal-as-rational or use p/q form")
-            return Fraction(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"invalid rational {text!r}: {exc}") from exc
@@ -94,13 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
     operator_flags.add_argument("--input", default=None, metavar="FILE",
                                 help="batch mode: read one extra flag set per line")
 
-    common = _ArgumentParser(add_help=False)
-    common.add_argument("--eps", default="1", help="tolerance (positive rational, default 1)")
-    common.add_argument("--m", default="1", help="x half-width (positive rational, default 1)")
-    common.add_argument("--n", default="1", help="y half-width (positive rational, default 1)")
-    common.add_argument("--depth", type=int, default=12, help="Bernstein subdivision depth (default 12)")
-    common.add_argument("--grid", type=int, default=0,
-                        help="falsifier grid resolution, 0 = off (default 0)")
+    box_flags = _ArgumentParser(add_help=False)
+    box_flags.add_argument("--eps", default="1", help="tolerance (positive rational, default 1)")
+    box_flags.add_argument("--m", default="1", help="x half-width (positive rational, default 1)")
+    box_flags.add_argument("--n", default="1", help="y half-width (positive rational, default 1)")
 
     output = _ArgumentParser(add_help=False)
     output.add_argument("--format", choices=("text", "json"), default="text")
@@ -111,9 +106,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the factorization residual per root")
     sub.add_parser("exact", parents=[operator_flags, output],
                    help="print the exactness residual values and verdict")
-    sub.add_parser("certify", parents=[operator_flags, common, output],
-                   help="certify |a00 - R| < eps on the open box")
-    sub.add_parser("sufficient", parents=[operator_flags, common, output],
+    certify = sub.add_parser("certify", parents=[operator_flags, box_flags, output],
+                             help="certify |a00 - R| < eps on the open box")
+    certify.add_argument("--depth", type=int, default=12,
+                         help="Bernstein subdivision depth (default 12)")
+    certify.add_argument("--grid", type=int, default=0,
+                         help="falsifier grid resolution, 0 = off (default 0)")
+    sub.add_parser("sufficient", parents=[operator_flags, box_flags, output],
                    help="evaluate the theorem1/triangle sufficient conditions only")
 
     family = sub.add_parser("family", parents=[output],
@@ -127,86 +126,81 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_operator(args, decimals: bool) -> LPDO2:
+def _operator_and_roots(args) -> tuple[LPDO2, tuple[CharRoot, ...]]:
+    decimals = args.decimal_as_rational
     symbol = PrincipalSymbol(
         _parse_rational(args.a20, decimals),
         _parse_rational(args.a11, decimals),
         _parse_rational(args.a02, decimals),
     )
-    return LPDO2(
+    op = LPDO2(
         symbol,
         _parse_poly_arg(args.a10, decimals, "--a10"),
         _parse_poly_arg(args.a01, decimals, "--a01"),
         _parse_poly_arg(args.a00, decimals, "--a00"),
     )
-
-
-def _select_roots(op: LPDO2, root_text: str, decimals: bool):
-    roots = characteristic_roots(op.symbol)
-    if root_text == "all":
-        return roots
-    wanted = _parse_rational(root_text, decimals)
+    roots = characteristic_roots(symbol)
+    if args.root == "all":
+        return op, roots
+    wanted = _parse_rational(args.root, decimals)
     for root in roots:
         if root.omega == wanted:
-            return (root,)
-    raise InputError(f"{root_text} is not a characteristic root "
+            return op, (root,)
+    raise InputError(f"{args.root} is not a characteristic root "
                      f"(roots: {roots[0].omega}, {roots[1].omega})")
 
 
-def _cmd_residual(args, out) -> int:
+def _box_and_eps(args) -> tuple[Box, Fraction]:
     decimals = args.decimal_as_rational
-    op = _build_operator(args, decimals)
-    roots = _select_roots(op, args.root, decimals)
+    box = Box(_parse_positive(args.m, decimals, "--m"), _parse_positive(args.n, decimals, "--n"))
+    return box, _parse_positive(args.eps, decimals, "--eps")
+
+
+def _emit(args, out, payload: dict, lines: list[str]) -> None:
+    # The one text/JSON switch of the record-printing subcommands.
     if args.format == "json":
-        payload = {"roots": [{"omega": str(r.omega),
-                              "residual": format_poly(residual(op, r).r)}
-                             for r in roots]}
         print(json.dumps(payload, sort_keys=True), file=out)
-    elif len(roots) == 1:
-        print(format_poly(residual(op, roots[0]).r), file=out)
     else:
-        for root in roots:
-            print(f"omega = {root.omega}: R = {format_poly(residual(op, root).r)}", file=out)
+        print("\n".join(lines), file=out)
+
+
+def _cmd_residual(args, out) -> int:
+    op, roots = _operator_and_roots(args)
+    records = [(root, format_poly(residual(op, root).r)) for root in roots]
+    if len(records) == 1:
+        lines = [records[0][1]]
+    else:
+        lines = [f"omega = {root.omega}: R = {text}" for root, text in records]
+    payload = {"roots": [{"omega": str(root.omega), "residual": text} for root, text in records]}
+    _emit(args, out, payload, lines)
     return EX_OK
 
 
 def _cmd_exact(args, out) -> int:
-    decimals = args.decimal_as_rational
-    op = _build_operator(args, decimals)
-    roots = _select_roots(op, args.root, decimals)
-    records = []
-    for root in roots:
-        values, ok = exactness_system_deg1(op, root)
-        records.append((root, values, ok))
-    if args.format == "json":
-        payload = {"roots": [{"omega": str(root.omega),
-                              "residuals": [str(v) for v in values],
-                              "factorizable": ok}
-                             for root, values, ok in records]}
-        print(json.dumps(payload, sort_keys=True), file=out)
-    else:
-        for root, values, ok in records:
-            rendered = ", ".join(str(v) for v in values)
-            print(f"omega = {root.omega}: residuals = [{rendered}], "
-                  f"factorizable = {'true' if ok else 'false'}", file=out)
+    op, roots = _operator_and_roots(args)
+    records = [(root, *exactness_system_deg1(op, root)) for root in roots]
+    payload = {"roots": [{"omega": str(root.omega),
+                          "residuals": [str(v) for v in values],
+                          "factorizable": ok}
+                         for root, values, ok in records]}
+    lines = [f"omega = {root.omega}: residuals = [{', '.join(str(v) for v in values)}], "
+             f"factorizable = {'true' if ok else 'false'}"
+             for root, values, ok in records]
+    _emit(args, out, payload, lines)
     return EX_OK if all(ok for _, _, ok in records) else EX_VIOLATED
 
 
-def _certify_status(report) -> int:
-    kinds = [r.certificate for r in report.roots]
-    if any(isinstance(c, Violated) for c in kinds):
-        return EX_VIOLATED
-    if any(isinstance(c, Unknown) for c in kinds):
-        return EX_UNKNOWN
+def _worst(statuses: list[int]) -> int:
+    # A violation outranks an unknown, which outranks success.
+    for status in (EX_VIOLATED, EX_UNKNOWN):
+        if status in statuses:
+            return status
     return EX_OK
 
 
 def _cmd_certify(args, out) -> int:
-    decimals = args.decimal_as_rational
-    op = _build_operator(args, decimals)
-    roots = _select_roots(op, args.root, decimals)
-    box = Box(_parse_positive(args.m, decimals, "--m"), _parse_positive(args.n, decimals, "--n"))
-    eps = _parse_positive(args.eps, decimals, "--eps")
+    op, roots = _operator_and_roots(args)
+    box, eps = _box_and_eps(args)
     if args.depth < 0:
         raise UsageError("--depth must be nonnegative")
     if args.grid != 0 and args.grid < 2:
@@ -214,59 +208,38 @@ def _cmd_certify(args, out) -> int:
     report = approx_factor_report(op, box, eps, max_depth=args.depth,
                                   grid_k=args.grid, roots=roots)
     print(report.to_json() if args.format == "json" else report.to_text(), file=out)
-    return _certify_status(report)
+    return _worst([_CERTIFICATE_STATUS[r.certificate.kind] for r in report.roots])
 
 
 def _cmd_sufficient(args, out) -> int:
     # Evaluates the cheap sufficient conditions only; no certification runs.
-    decimals = args.decimal_as_rational
-    op = _build_operator(args, decimals)
-    roots = _select_roots(op, args.root, decimals)
-    box = Box(_parse_positive(args.m, decimals, "--m"), _parse_positive(args.n, decimals, "--n"))
-    eps = _parse_positive(args.eps, decimals, "--eps")
-    theorem1_ok = _theorem1_applicable(op, eps, box)
-    records = []
-    for root in roots:
-        difference = op.a00 - residual(op, root).r
-        theorem1 = lifted_sufficient(reduced_problem(op, root)) if theorem1_ok else None
-        records.append((root, theorem1, triangle_sufficient(difference, box, eps)))
-    established = all((theorem1 is True) or triangle for _, theorem1, triangle in records)
-    if args.format == "json":
-        payload = {
-            "parameters": {"eps": str(eps), "m": str(box.m), "n": str(box.n)},
-            "roots": [{"omega": str(root.omega),
-                       "sufficient": {"theorem1": "n/a" if theorem1 is None else theorem1,
-                                      "triangle": triangle}}
-                      for root, theorem1, triangle in records],
-        }
-        print(json.dumps(payload, sort_keys=True), file=out)
-    else:
-        print(f"parameters: eps = {eps}, m = {box.m}, n = {box.n}", file=out)
-        for root, theorem1, triangle in records:
-            rendered = "n/a" if theorem1 is None else ("true" if theorem1 else "false")
-            print(f"omega = {root.omega}: theorem1 = {rendered}, "
-                  f"triangle = {'true' if triangle else 'false'}", file=out)
+    op, roots = _operator_and_roots(args)
+    box, eps = _box_and_eps(args)
+    records = [(root, *sufficient_conditions(op, root, op.a00 - residual(op, root).r, box, eps))
+               for root in roots]
+    payload = {
+        "parameters": {"eps": str(eps), "m": str(box.m), "n": str(box.n)},
+        "roots": [{"omega": str(root.omega), "sufficient": sufficient_json(theorem1, triangle)}
+                  for root, theorem1, triangle in records],
+    }
+    lines = [f"parameters: eps = {eps}, m = {box.m}, n = {box.n}"]
+    lines += [f"omega = {root.omega}: {sufficient_text(theorem1, triangle)}"
+              for root, theorem1, triangle in records]
+    _emit(args, out, payload, lines)
+    established = all(theorem1 is True or triangle for _, theorem1, triangle in records)
     return EX_OK if established else EX_VIOLATED
 
 
 def _cmd_family(args, out) -> int:
     decimals = args.decimal_as_rational
-    root_text = args.root
-    if root_text == "all":
-        raise UsageError("family requires --root 1 or --root -1")
-    omega = _parse_rational(root_text, decimals)
+    omega = None if args.root == "all" else _parse_rational(args.root, decimals)
     if omega not in (1, -1):
         raise UsageError("family requires --root 1 or --root -1")
     values = [_parse_rational(getattr(args, name), decimals) for name in ("c3", "c2", "c1", "d1")]
     op = family_deg1(*values, omega)
-    if args.format == "json":
-        payload = {"omega": str(omega), "a10": format_poly(op.a10),
-                   "a01": format_poly(op.a01), "a00": format_poly(op.a00)}
-        print(json.dumps(payload, sort_keys=True), file=out)
-    else:
-        print(f"a10 = {format_poly(op.a10)}", file=out)
-        print(f"a01 = {format_poly(op.a01)}", file=out)
-        print(f"a00 = {format_poly(op.a00)}", file=out)
+    coeffs = {name: format_poly(getattr(op, name)) for name in ("a10", "a01", "a00")}
+    _emit(args, out, {"omega": str(omega), **coeffs},
+          [f"{name} = {text}" for name, text in coeffs.items()])
     return EX_OK
 
 
@@ -316,11 +289,7 @@ def _run_batch(parser, argv: Sequence[str], path: str, out) -> int:
             statuses.append(_HANDLERS[args.command](args, out))
         except (UsageError, InputError, BkfactError, ValueError) as exc:
             raise InputError(f"batch line {lineno}: {exc}") from exc
-    if EX_VIOLATED in statuses:
-        return EX_VIOLATED
-    if EX_UNKNOWN in statuses:
-        return EX_UNKNOWN
-    return EX_OK
+    return _worst(statuses)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -330,7 +299,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv))
-        if getattr(args, "input", None):
+        if getattr(args, "input", None) is not None:
             return _run_batch(parser, argv, args.input, out)
         return _HANDLERS[args.command](args, out)
     except UsageError as exc:

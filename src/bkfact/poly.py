@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Iterable, Mapping, Union
+from math import comb, lcm
+from typing import Mapping, Union
 
 Scalar = Union[int, str, Fraction]
 
@@ -232,26 +232,20 @@ class Poly2:
     def __call__(self, x0: Scalar, y0: Scalar) -> Fraction:
         return self.eval(x0, y0)
 
-    def restrict(self, axis: str, value: Scalar) -> "Poly1":
-        """Fix one variable to a constant, returning a polynomial in the other.
+    def lift(self, m: Scalar, n: Scalar) -> tuple[dict[tuple[int, int], int], int]:
+        """Integer coefficients of p(m*u, n*v) over one common denominator.
 
-        restrict("y", v) substitutes y = v and yields a Poly1 in x;
-        restrict("x", v) substitutes x = v and yields a Poly1 in y.
+        Returns (coeffs, L) with L*p(m*u, n*v) = sum of coeffs[(i, j)]*u^i*v^j,
+        every coefficient an int and L the lcm of the scaled terms'
+        denominators (1 for the zero polynomial).
         """
-        if axis not in ("x", "y"):
-            raise ValueError(f"unknown variable {axis!r}")
-        val = as_fraction(value)
-        coeffs: dict[int, Fraction] = {}
+        mv, nv = as_fraction(m), as_fraction(n)
+        nums, dens = {}, {}
         for (i, j), coeff in self._terms.items():
-            if axis == "y":
-                power, fixed = i, val ** j
-            else:
-                power, fixed = j, val ** i
-            coeffs[power] = coeffs.get(power, Fraction(0)) + coeff * fixed
-        if not coeffs:
-            return Poly1(())
-        size = max(coeffs) + 1
-        return Poly1(tuple(coeffs.get(k, Fraction(0)) for k in range(size)))
+            nums[(i, j)] = coeff.numerator * mv.numerator ** i * nv.numerator ** j
+            dens[(i, j)] = coeff.denominator * mv.denominator ** i * nv.denominator ** j
+        scale = lcm(*dens.values())
+        return {key: num * (scale // dens[key]) for key, num in nums.items()}, scale
 
     # -- display ------------------------------------------------------------
 
@@ -262,16 +256,6 @@ class Poly2:
         return f"Poly2({format_poly(self)})"
 
 
-def linear_comb(p: Poly2, q: Poly2, alpha: Scalar, beta: Scalar) -> Poly2:
-    """alpha*p + beta*q in sparse normal form."""
-    return p * as_fraction(alpha) + q * as_fraction(beta)
-
-
-def poly_mul(p: Poly2, q: Poly2) -> Poly2:
-    """Exact product p*q."""
-    return p * q
-
-
 def char_diff(p: Poly2, omega: Scalar) -> Poly2:
     """Directional derivative dp/dx - omega * dp/dy.
 
@@ -280,52 +264,6 @@ def char_diff(p: Poly2, omega: Scalar) -> Poly2:
     direction with slope omega.
     """
     return p.diff("x") - p.diff("y") * as_fraction(omega)
-
-
-class Poly1:
-    """Dense exact univariate polynomial (coefficient index = power)."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Iterable[Scalar]):
-        vals = [as_fraction(c) for c in coeffs]
-        while vals and vals[-1] == 0:
-            vals.pop()
-        self._coeffs = tuple(vals)
-
-    @property
-    def degree(self) -> int:
-        """-1 for the zero polynomial."""
-        return len(self._coeffs) - 1
-
-    def coeff(self, k: int) -> Fraction:
-        if 0 <= k < len(self._coeffs):
-            return self._coeffs[k]
-        return Fraction(0)
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
-
-    def eval(self, t: Scalar) -> Fraction:
-        tv = as_fraction(t)
-        total = Fraction(0)
-        for coeff in reversed(self._coeffs):
-            total = total * tv + coeff
-        return total
-
-    def __call__(self, t: Scalar) -> Fraction:
-        return self.eval(t)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Poly1):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"Poly1({list(self._coeffs)!r})"
 
 
 @dataclass(frozen=True)
@@ -367,20 +305,15 @@ class RangeEnclosure:
             raise ValueError("enclosure bounds out of order")
 
 
-def bernstein_enclosure(p: Poly2, box: Box) -> RangeEnclosure:
-    """Range enclosure of p on the closed box [-m, m] x [-n, n].
-
-    The box is mapped affinely onto the unit square and the polynomial is
-    rewritten in the tensor-product Bernstein basis; the minimum and maximum
-    Bernstein coefficients enclose the range.  The enclosure is exact for
-    affine polynomials and tightens under subdivision, but is generally not
-    tight at depth 0 (x^2 on [-1, 1] encloses to [-1, 1]).
-    """
-    return bernstein_on_rect(p, -box.m, box.m, -box.n, box.n)
-
-
 def bernstein_on_rect(p: Poly2, xlo: Scalar, xhi: Scalar, ylo: Scalar, yhi: Scalar) -> RangeEnclosure:
-    """Bernstein-coefficient range enclosure on a general closed rectangle."""
+    """Range enclosure of p on the closed rectangle [xlo, xhi] x [ylo, yhi].
+
+    The rectangle is mapped affinely onto the unit square and p is rewritten
+    in the tensor-product Bernstein basis; the minimum and maximum Bernstein
+    coefficients enclose the range.  The enclosure is exact for affine
+    polynomials and tightens under subdivision, but is generally not tight
+    before it (x^2 on [-1, 1] encloses to [-1, 1]).
+    """
     if p.is_zero:
         return RangeEnclosure(Fraction(0), Fraction(0))
     x0 = as_fraction(xlo)

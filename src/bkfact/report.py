@@ -75,11 +75,10 @@ class Report:
     def to_text(self) -> str:
         lines = [f"parameters: eps = {self.eps}, m = {self.m}, n = {self.n}"]
         for r in self.roots:
-            theorem1 = "n/a" if r.theorem1 is None else _bool_text(r.theorem1)
             lines.append(
                 f"omega = {r.omega}: exact = {_bool_text(r.exact)}, "
                 f"certificate = {_certificate_text(r.certificate)}, "
-                f"theorem1 = {theorem1}, triangle = {_bool_text(r.triangle)}")
+                f"{sufficient_text(r.theorem1, r.triangle)}")
         return "\n".join(lines)
 
 
@@ -113,17 +112,31 @@ def _root_json(r: RootReport) -> dict:
         "residual": format_poly(r.residual),
         "exact": r.exact,
         "certificate": certificate_json(r.certificate),
-        "sufficient": {
-            "theorem1": "n/a" if r.theorem1 is None else r.theorem1,
-            "triangle": r.triangle,
-        },
+        "sufficient": sufficient_json(r.theorem1, r.triangle),
     }
 
 
-def _theorem1_applicable(op: LPDO2, eps: Fraction, box: Box) -> bool:
-    return (op.symbol.is_canonical
-            and eps == 1 and box.m == 1 and box.n == 1
-            and op.a10.degree <= 1 and op.a01.degree <= 1 and op.a00.degree <= 1)
+def sufficient_conditions(op: LPDO2, root: CharRoot, difference: Poly2, box: Box,
+                          eps: Fraction) -> tuple[Optional[bool], bool]:
+    """(theorem1, triangle) for the difference a00 - R along one root.
+
+    The lifted condition applies only to canonical operators with affine
+    coefficients at eps = m = n = 1; elsewhere theorem1 is None.
+    """
+    applicable = (op.symbol.is_canonical
+                  and eps == 1 and box.m == 1 and box.n == 1
+                  and op.a10.degree <= 1 and op.a01.degree <= 1 and op.a00.degree <= 1)
+    theorem1 = lifted_sufficient(reduced_problem(op, root)) if applicable else None
+    return theorem1, triangle_sufficient(difference, box, eps)
+
+
+def sufficient_json(theorem1: Optional[bool], triangle: bool) -> dict:
+    return {"theorem1": "n/a" if theorem1 is None else theorem1, "triangle": triangle}
+
+
+def sufficient_text(theorem1: Optional[bool], triangle: bool) -> str:
+    rendered = "n/a" if theorem1 is None else _bool_text(theorem1)
+    return f"theorem1 = {rendered}, triangle = {_bool_text(triangle)}"
 
 
 def approx_factor_report(op: LPDO2, box: Box, eps: Scalar,
@@ -133,16 +146,13 @@ def approx_factor_report(op: LPDO2, box: Box, eps: Scalar,
 
     For each characteristic root (ascending omega unless an explicit subset
     is given): residual, exact verdict, difference certificate, and the
-    sufficient-condition verdicts.  The lifted condition is reported only
-    for canonical operators with affine coefficients at eps = m = n = 1,
-    otherwise as not applicable.  When grid_k >= 2, an Unknown certificate
-    is retried with the grid falsifier and upgraded to Violated if a witness
-    turns up.
+    sufficient-condition verdicts (see sufficient_conditions).  When
+    grid_k >= 2, an Unknown certificate is retried with the grid falsifier
+    and upgraded to Violated if a witness turns up.
     """
     eps_v = as_fraction(eps)
     if roots is None:
         roots = characteristic_roots(op.symbol)
-    theorem1_ok = _theorem1_applicable(op, eps_v, box)
     entries = []
     for root in roots:
         trace = residual(op, root)
@@ -156,13 +166,13 @@ def approx_factor_report(op: LPDO2, box: Box, eps: Scalar,
                 value = difference.eval(witness.x, witness.y)
                 if abs(value) >= eps_v:
                     certificate = Violated(witness=(witness.x, witness.y), value=value)
-        theorem1 = lifted_sufficient(reduced_problem(op, root)) if theorem1_ok else None
+        theorem1, triangle = sufficient_conditions(op, root, difference, box, eps_v)
         entries.append(RootReport(
             omega=root.omega,
             residual=trace.r,
             exact=difference.is_zero,
             certificate=certificate,
             theorem1=theorem1,
-            triangle=triangle_sufficient(difference, box, eps_v),
+            triangle=triangle,
         ))
     return Report(eps=eps_v, m=box.m, n=box.n, roots=tuple(entries))

@@ -6,8 +6,58 @@ import math
 import random
 from fractions import Fraction
 
-from bkfact import Box, CertifiedInside, Extrema, Poly2, Violated
+from bkfact import Box, CertifiedInside, Extrema, GridWitness, Poly2, Violated, as_fraction
 from bkfact.certify import _critical_candidates
+
+
+class Poly1:
+    """Dense exact univariate polynomial (coefficient index = power)."""
+
+    __slots__ = ("_coeffs",)
+
+    def __init__(self, coeffs):
+        vals = [as_fraction(c) for c in coeffs]
+        while vals and vals[-1] == 0:
+            vals.pop()
+        self._coeffs = tuple(vals)
+
+    def coeff(self, k: int) -> Fraction:
+        if 0 <= k < len(self._coeffs):
+            return self._coeffs[k]
+        return Fraction(0)
+
+    def eval(self, t) -> Fraction:
+        tv = as_fraction(t)
+        total = Fraction(0)
+        for coeff in reversed(self._coeffs):
+            total = total * tv + coeff
+        return total
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Poly1):
+            return NotImplemented
+        return self._coeffs == other._coeffs
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Poly1({list(self._coeffs)!r})"
+
+
+def restrict(p: Poly2, axis: str, value) -> Poly1:
+    """Fix one variable of p to a constant, giving a polynomial in the other.
+
+    restrict(p, "y", v) substitutes y = v and yields a Poly1 in x;
+    restrict(p, "x", v) substitutes x = v and yields a Poly1 in y.
+    """
+    if axis not in ("x", "y"):
+        raise ValueError(f"unknown variable {axis!r}")
+    val = as_fraction(value)
+    coeffs: dict[int, Fraction] = {}
+    for (i, j), coeff in p.terms():
+        power, fixed = (i, val ** j) if axis == "y" else (j, val ** i)
+        coeffs[power] = coeffs.get(power, Fraction(0)) + coeff * fixed
+    return Poly1(coeffs.get(k, Fraction(0)) for k in range(max(coeffs, default=-1) + 1))
 
 
 def rand_frac(rng: random.Random, num_max: int = 9, den_max: int = 9) -> Fraction:
@@ -102,14 +152,14 @@ def exact_grid_extrema(d: Poly2, box: Box, grid_k: int) -> tuple[Fraction, Fract
 def reference_quad_extrema(d: Poly2, box: Box) -> Extrema:
     """Exact extrema of a total-degree <= 2 polynomial on the closed box by
     the restriction route (independent of quad_box_extrema's integer lift):
-    corners and edge vertices come from Poly2.restrict and eval in the
+    corners and edge vertices come from restrict and eval in the
     original coordinates, and so does the isolated stationary point."""
     assert d.degree <= 2
     m, n = box.m, box.n
     candidates = [((cx, cy), d.eval(cx, cy), False) for cx in (-m, m) for cy in (-n, n)]
     for axis, bound, other in (("y", n, m), ("x", m, n)):
         for fixed in (-bound, bound):
-            g = d.restrict(axis, fixed)
+            g = restrict(d, axis, fixed)
             if g.coeff(2) != 0:
                 t = -g.coeff(1) / (2 * g.coeff(2))
                 if -other < t < other:
@@ -165,3 +215,16 @@ def reference_certificate(d: Poly2, box: Box, eps: Fraction, ext: Extrema):
         if sign * d.eval(*point) >= eps:
             return Violated(witness=point, value=d.eval(*point))
         t /= 2
+
+
+def reference_grid_witness(d: Poly2, box: Box, eps: Fraction, grid_k: int):
+    """The first point of the interior grid (m*i/K, n*j/K), |i|, |j| < K, in
+    row-major order (i outermost) with |d| >= eps, by d.eval at every point
+    (independent of sample_falsify's integer lift); None if there is none."""
+    for i in range(-(grid_k - 1), grid_k):
+        for j in range(-(grid_k - 1), grid_k):
+            x, y = Fraction(i, grid_k) * box.m, Fraction(j, grid_k) * box.n
+            value = d.eval(x, y)
+            if abs(value) >= eps:
+                return GridWitness(x=x, y=y, value=value)
+    return None

@@ -40,7 +40,9 @@ from helpers import (
     rand_nonzero_frac,
     rand_poly2,
     reference_certificate,
+    reference_grid_witness,
     reference_quad_extrema,
+    restrict,
 )
 
 X = Poly2.var("x")
@@ -169,7 +171,7 @@ class TestReducedSubstitution:
             b1, b3, s1, s3 = (rand_frac(rng, 4, 3) for _ in range(4))
             q = quad_from_reduced(b1, b3, s1, s3)
             diff = difference_from_expansion(b1, 0, b3, s1, 0, s3)
-            line = diff.restrict("y", 0)
+            line = restrict(diff, "y", 0)
             assert q.a == 4 * line.coeff(2)
             assert q.b == 4 * line.coeff(1)
             assert q.c == 4 * line.coeff(0)
@@ -447,6 +449,23 @@ class TestSampleFalsify:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             sample_falsify(CertRequest(d=X, box=UNIT, eps=1), 1)
+
+    def test_matches_row_major_scan(self):
+        # Degree 0-6 on rational boxes; eps is the magnitude at a random grid
+        # point, scaled so that scans hit early or exactly there, and on every
+        # fifth case (kept to coarse grids, as d.eval is slow) late or never.
+        rng = random.Random(6)
+        for k in range(2000):
+            d = rand_poly2(rng, k % 7)
+            box = Box(abs(rand_nonzero_frac(rng)), abs(rand_nonzero_frac(rng)))
+            long_scan = k % 5 == 0
+            grid_k = rng.randint(2, 6 if long_scan else 12)
+            i, j = (rng.randint(1 - grid_k, grid_k - 1) for _ in range(2))
+            eps = abs(d.eval(Fraction(i, grid_k) * box.m, Fraction(j, grid_k) * box.n))
+            eps = max(eps, Fraction(1, 7)) * rng.choice(
+                (2, 1000) if long_scan else (Fraction(1, 2), 1))
+            assert sample_falsify(CertRequest(d, box, eps), grid_k) == \
+                reference_grid_witness(d, box, eps, grid_k), (d, box, eps, grid_k)
 
 
 class TestSoundness:

@@ -100,6 +100,18 @@ class TestGolden:
         assert out == (GOLDEN / "batch_quadratic.json").read_text()
 
 
+SUBCOMMAND_GOLDENS = json.loads((GOLDEN / "subcommands.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMAND_GOLDENS))
+def test_subcommand_golden(capsys, name):
+    # residual, exact, sufficient and family in text and JSON form.
+    case = SUBCOMMAND_GOLDENS[name]
+    status, out, err = run(capsys, *case["argv"])
+    assert (status, err) == (case["status"], case["stderr"])
+    assert out == (GOLDEN / "subcommands" / f"{name}.out").read_text()
+
+
 class TestJson:
     def test_schema_and_determinism(self, capsys):
         args = ("certify", "--a10", "x", "--a01", "y", "--eps", "2", "--format", "json")
@@ -206,6 +218,18 @@ class TestFlags:
 
     def test_batch_missing_file(self, capsys):
         assert run(capsys, "certify", "--input", "/nonexistent/batch.txt")[0] == 65
+
+    @pytest.mark.parametrize("argv", [["--input", ""], ["--input="]])
+    def test_batch_empty_path(self, capsys, argv):
+        # An empty path is still batch mode, not a single-shot run.
+        status, out, err = run(capsys, "certify", *argv)
+        assert (status, out) == (65, "")
+        assert "cannot read batch file" in err
+
+    def test_subdivision_flags_belong_to_certify(self, capsys):
+        assert run(capsys, "sufficient", "--depth", "3")[0] == 64
+        assert run(capsys, "sufficient", "--grid", "4")[0] == 64
+        assert run(capsys, "certify", "--depth", "3", "--grid", "4")[0] == 0
 
 
 # Per-subcommand batch lines.  The second line overrides base flags and the

@@ -1,4 +1,4 @@
-"""Polynomial core: arithmetic, calculus, restriction, Bernstein enclosures."""
+"""Polynomial core: arithmetic, calculus, evaluation, integer lift, Bernstein enclosures."""
 
 import random
 from fractions import Fraction
@@ -6,18 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bkfact import (
-    Box,
-    Poly1,
-    Poly2,
-    RangeEnclosure,
-    bernstein_enclosure,
-    char_diff,
-    format_poly,
-    linear_comb,
-    poly_mul,
-)
-from helpers import rand_frac, rand_point_in_box, rand_poly2
+from bkfact import Box, Poly2, RangeEnclosure, char_diff, format_poly
+from bkfact.poly import bernstein_on_rect
+from helpers import Poly1, rand_frac, rand_point_in_box, rand_poly2, restrict
 
 X = Poly2.var("x")
 Y = Poly2.var("y")
@@ -51,27 +42,27 @@ class TestConstruction:
 
 class TestArithmetic:
     def test_linear_comb_addition(self):
-        assert linear_comb(X, Y, 1, 1) == X + Y
+        assert X * 1 + Y * 1 == Poly2({(1, 0): 1, (0, 1): 1})
 
     def test_linear_comb_cancellation(self):
-        assert linear_comb(X, X, 1, -1).is_zero
+        assert (X * 1 + X * -1).is_zero
 
     def test_linear_comb_affine_difference(self):
         # (2x+3y+5) - (2x+3y+1) = 4: the constant gap between two affine
         # coefficients that agree except in their constant term.
         p = Poly2.affine(2, 3, 5)
         q = Poly2.affine(2, 3, 1)
-        assert linear_comb(p, q, 1, -1) == Poly2.const(4)
+        assert p * 1 + q * -1 == Poly2.const(4)
 
     def test_mul_square(self):
-        assert poly_mul(X + Y, X + Y) == Poly2({(2, 0): 1, (1, 1): 2, (0, 2): 1})
+        assert (X + Y) * (X + Y) == Poly2({(2, 0): 1, (1, 1): 2, (0, 2): 1})
 
     def test_mul_annihilator(self):
-        assert poly_mul(Poly2.zero(), X * Y + Poly2.const(7)).is_zero
+        assert (Poly2.zero() * (X * Y + Poly2.const(7))).is_zero
 
     def test_mul_difference_of_squares(self):
         one = Poly2.const(1)
-        assert poly_mul(X + one, X - one) == X * X - one
+        assert (X + one) * (X - one) == X * X - one
 
     def test_one_term_factors(self):
         # Products with a one-term factor and powers of one term skip the
@@ -145,9 +136,9 @@ class TestEvalRestrict:
         assert quarter_square.eval(1, 1) == 1
 
     def test_restrict_examples(self):
-        assert (X * X + Y * Y).restrict("y", 1) == Poly1([1, 0, 1])
-        assert (X * Y).restrict("x", 0) == Poly1([])
-        assert (X * X + 2 * X * Y).restrict("y", -1) == Poly1([0, -2, 1])
+        assert restrict(X * X + Y * Y, "y", 1) == Poly1([1, 0, 1])
+        assert restrict(X * Y, "x", 0) == Poly1([])
+        assert restrict(X * X + 2 * X * Y, "y", -1) == Poly1([0, -2, 1])
 
     def test_restrict_commutes_with_eval(self):
         rng = random.Random(77)
@@ -155,23 +146,40 @@ class TestEvalRestrict:
             p = rand_poly2(rng, 3)
             x0 = rand_frac(rng)
             y0 = rand_frac(rng)
-            assert p.restrict("y", y0).eval(x0) == p.eval(x0, y0)
-            assert p.restrict("x", x0).eval(y0) == p.eval(x0, y0)
+            assert restrict(p, "y", y0).eval(x0) == p.eval(x0, y0)
+            assert restrict(p, "x", x0).eval(y0) == p.eval(x0, y0)
+
+
+class TestLift:
+    def test_integer_identity(self):
+        # L * p(m*u, n*v) == sum of c * u^i * v^j with int c, on rational boxes.
+        rng = random.Random(31)
+        for k in range(300):
+            p = rand_poly2(rng, k % 6)
+            m, n = abs(rand_frac(rng)) + Fraction(1, 5), abs(rand_frac(rng)) + Fraction(1, 3)
+            coeffs, scale = p.lift(m, n)
+            assert type(scale) is int and scale > 0
+            assert all(type(c) is int for c in coeffs.values())
+            for _ in range(5):
+                u, v = rng.randint(-6, 6), rng.randint(-6, 6)
+                total = sum(c * u ** i * v ** j for (i, j), c in coeffs.items())
+                assert total == scale * p.eval(m * u, n * v), (p, m, n, u, v)
+        assert Poly2.zero().lift(2, 3) == ({}, 1)
 
 
 class TestBernstein:
     def test_constant(self):
-        enc = bernstein_enclosure(Poly2.const(5), Box(3, Fraction(1, 2)))
+        enc = bernstein_on_rect(Poly2.const(5), -3, 3, Fraction(-1, 2), Fraction(1, 2))
         assert (enc.lo, enc.hi) == (5, 5)
 
     def test_linear_tight(self):
-        enc = bernstein_enclosure(X, Box(1, 1))
+        enc = bernstein_on_rect(X, -1, 1, -1, 1)
         assert (enc.lo, enc.hi) == (-1, 1)
 
     def test_square_depth0(self):
         # On [-1, 1] the coefficients of x^2 after mapping to the unit
         # square are {1, -1, 1}: valid but not tight at depth 0.
-        enc = bernstein_enclosure(X * X, Box(1, 1))
+        enc = bernstein_on_rect(X * X, -1, 1, -1, 1)
         assert (enc.lo, enc.hi) == (-1, 1)
 
     def test_soundness_random_points(self):
@@ -179,7 +187,7 @@ class TestBernstein:
         box = Box(Fraction(3, 2), Fraction(2, 3))
         for _ in range(5):
             p = rand_poly2(rng, 4)
-            enc = bernstein_enclosure(p, box)
+            enc = bernstein_on_rect(p, -box.m, box.m, -box.n, box.n)
             for _ in range(200):
                 x, y = rand_point_in_box(rng, box)
                 assert enc.lo <= p.eval(x, y) <= enc.hi
@@ -189,7 +197,7 @@ class TestBernstein:
         box = Box(Fraction(5, 4), 2)
         for _ in range(50):
             p = Poly2.affine(rand_frac(rng), rand_frac(rng), rand_frac(rng))
-            enc = bernstein_enclosure(p, box)
+            enc = bernstein_on_rect(p, -box.m, box.m, -box.n, box.n)
             corners = [p.eval(sx * box.m, sy * box.n) for sx in (-1, 1) for sy in (-1, 1)]
             assert enc.lo == min(corners)
             assert enc.hi == max(corners)
