@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import ClassVar, Optional, Union
 
 from .errors import DegreeTooHighError, PreconditionViolatedError
-from .poly import Box, Poly2, Scalar, as_fraction, bernstein_on_rect
+from .poly import Box, Poly2, Scalar, _bernstein_coefficients, as_fraction, bernstein_on_rect
 
 Point = tuple[Fraction, Fraction]
 
@@ -433,7 +433,13 @@ class Violated:
 @dataclass(frozen=True)
 class Unknown:
     """Subdivision exhausted its depth budget; gap is the worst remaining
-    enclosure overshoot beyond (-eps, eps)."""
+    enclosure overshoot beyond (-eps, eps).
+
+    D is a convex combination of its Bernstein coefficients, so a leaf whose
+    coefficients show |D| = eps only on the outer box boundary is certified
+    instead (see bernstein_certify).  A supremum of exactly eps approached
+    only on the boundary still ends here when the coefficients cannot show
+    it, e.g. when it is reached at no subrectangle corner."""
 
     kind: ClassVar[str] = "unknown"
     gap: Fraction
@@ -516,16 +522,44 @@ def certify_open_box(request: CertRequest) -> Certificate:
     return Violated(witness=witness, value=value)
 
 
+def _touches_only_outer_boundary(coeffs: list[list[Fraction]], eps: Fraction,
+                                 outer_x: tuple[bool, bool], outer_y: tuple[bool, bool]
+                                 ) -> bool:
+    """For Bernstein coefficients all in [-eps, eps]: true iff some face's
+    block equals +-eps and every such face lies on the outer box boundary
+    (outer_x: left and right sides on x = -m and x = m; outer_y likewise)."""
+    reached = False
+    for rows, on_x in ((coeffs[:1], outer_x[0]), (coeffs[-1:], outer_x[1]), (coeffs, False)):
+        for cols, on_y in ((slice(1), outer_y[0]), (slice(-1, None), outer_y[1]),
+                           (slice(None), False)):
+            block = {b for row in rows for b in row[cols]}
+            if len(block) == 1 and abs(block.pop()) == eps:
+                if not (on_x or on_y):
+                    return False
+                reached = True
+    return reached
+
+
 def bernstein_certify(request: CertRequest) -> Certificate:
     """Certify |D| < eps on the open box by Bernstein subdivision.
 
     Each subrectangle whose enclosure lies strictly inside (-eps, eps) is
-    certified; otherwise the exact value at the subrectangle center (always
-    strictly inside the original box) is checked for a violation, and the
-    rectangle is bisected along its longer side (ties split x) until the
-    depth budget runs out.  Remaining rectangles produce Unknown with the
-    largest enclosure overshoot as the gap.  The traversal order is fixed,
-    so results are deterministic.
+    certified.  So is one whose Bernstein coefficients b[r][s] all lie in
+    [-eps, eps] and show that D reaches +-eps only on the outer box
+    boundary.  The basis functions are nonnegative and sum to 1, and at a
+    point (u, v) of the unit square those of the block I(u) x J(v) are
+    positive, where I(0) = {0}, I(1) = {dx} and I(u) = {0..dx} for
+    0 < u < 1 (J likewise in v).  So D equals +-eps exactly on the faces
+    (interior, open edges, corners) whose whole block equals +-eps.  If such
+    faces exist and all lie on x = +-m or y = +-n, which the open box
+    excludes, the supremum of |D| is eps and the certificate's margin is 0.
+
+    Otherwise the exact value at the subrectangle center (always strictly
+    inside the original box) is checked for a violation, and the rectangle
+    is bisected along its longer side (ties split x) until the depth budget
+    runs out.  Remaining rectangles produce Unknown with the largest
+    enclosure overshoot as the gap.  The traversal order is fixed, so
+    results are deterministic.
     """
     d = request.d
     eps = request.eps
@@ -541,6 +575,11 @@ def bernstein_certify(request: CertRequest) -> Certificate:
             bound = max(enclosure.hi, -enclosure.lo)
             if bound > worst_inside:
                 worst_inside = bound
+            continue
+        if (-eps <= enclosure.lo and enclosure.hi <= eps and _touches_only_outer_boundary(
+                _bernstein_coefficients(d, xlo, xhi, ylo, yhi), eps,
+                (xlo == -box.m, xhi == box.m), (ylo == -box.n, yhi == box.n))):
+            worst_inside = eps
             continue
         cx = (xlo + xhi) / 2
         cy = (ylo + yhi) / 2

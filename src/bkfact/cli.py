@@ -29,7 +29,14 @@ from .lpdo import (
 )
 from .parsing import parse_poly
 from .poly import Box, Poly2, format_poly
-from .report import approx_factor_report, sufficient_conditions, sufficient_json, sufficient_text
+from .report import (
+    approx_factor_report,
+    parameters_json,
+    parameters_text,
+    sufficient_conditions,
+    sufficient_json,
+    sufficient_text,
+)
 
 EX_OK = 0
 EX_VIOLATED = 1
@@ -37,6 +44,10 @@ EX_UNKNOWN = 2
 EX_USAGE = 64
 EX_DATA = 65
 _CERTIFICATE_STATUS = {"inside": EX_OK, "violated": EX_VIOLATED, "unknown": EX_UNKNOWN}
+# Largest --depth and --grid accepted: subdivision visits up to 2^(depth+1) - 1
+# rectangles and the falsifier (2*grid - 1)^2 points.
+MAX_DEPTH = 16
+MAX_GRID = 1024
 
 
 class UsageError(Exception):
@@ -201,10 +212,10 @@ def _worst(statuses: list[int]) -> int:
 def _cmd_certify(args, out) -> int:
     op, roots = _operator_and_roots(args)
     box, eps = _box_and_eps(args)
-    if args.depth < 0:
-        raise UsageError("--depth must be nonnegative")
-    if args.grid != 0 and args.grid < 2:
-        raise UsageError("--grid must be 0 (off) or at least 2")
+    if not 0 <= args.depth <= MAX_DEPTH:
+        raise UsageError(f"--depth must be between 0 and {MAX_DEPTH}")
+    if args.grid != 0 and not 2 <= args.grid <= MAX_GRID:
+        raise UsageError(f"--grid must be 0 (off) or between 2 and {MAX_GRID}")
     report = approx_factor_report(op, box, eps, max_depth=args.depth,
                                   grid_k=args.grid, roots=roots)
     print(report.to_json() if args.format == "json" else report.to_text(), file=out)
@@ -218,11 +229,11 @@ def _cmd_sufficient(args, out) -> int:
     records = [(root, *sufficient_conditions(op, root, op.a00 - residual(op, root).r, box, eps))
                for root in roots]
     payload = {
-        "parameters": {"eps": str(eps), "m": str(box.m), "n": str(box.n)},
+        "parameters": parameters_json(eps, box.m, box.n),
         "roots": [{"omega": str(root.omega), "sufficient": sufficient_json(theorem1, triangle)}
                   for root, theorem1, triangle in records],
     }
-    lines = [f"parameters: eps = {eps}, m = {box.m}, n = {box.n}"]
+    lines = [parameters_text(eps, box.m, box.n)]
     lines += [f"omega = {root.omega}: {sufficient_text(theorem1, triangle)}"
               for root, theorem1, triangle in records]
     _emit(args, out, payload, lines)
@@ -287,7 +298,9 @@ def _run_batch(parser, argv: Sequence[str], path: str, out) -> int:
             if args.input is not None:
                 raise InputError("--input is not allowed in a batch file")
             statuses.append(_HANDLERS[args.command](args, out))
-        except (UsageError, InputError, BkfactError, ValueError) as exc:
+        except UsageError as exc:
+            raise UsageError(f"batch line {lineno}: {exc}") from exc
+        except (InputError, BkfactError, ValueError) as exc:
             raise InputError(f"batch line {lineno}: {exc}") from exc
     return _worst(statuses)
 

@@ -255,6 +255,20 @@ def residual_closed_deg2(rc: ReducedCoeffs) -> Poly2:
     return drift / 2 + quad * quad / 4
 
 
+def affine_reduction(op: LPDO2, root: CharRoot, name: str, canonical_rule: str
+                     ) -> tuple[Fraction, Fraction, Fraction, ReducedCoeffs]:
+    """(b1, b2, b3, rc) with a00 = b3*x + b2*y + b1 and rc the reduced
+    coefficients along root; raises ValueError off the canonical symbol and
+    DegreeTooHighError above degree 1, naming the caller's quantity."""
+    if not op.symbol.is_canonical:
+        raise ValueError(f"{name} {canonical_rule} the canonical symbol")
+    if op.a10.degree > 1 or op.a01.degree > 1 or op.a00.degree > 1:
+        raise DegreeTooHighError(f"{name} needs affine coefficients")
+    a00 = op.a00
+    return (a00.coeff(0, 0), a00.coeff(0, 1), a00.coeff(1, 0),
+            reduced_coeffs(op.a10, op.a01, int(root.omega)))
+
+
 def exactness_system_deg1(op: LPDO2, root: CharRoot) -> tuple[tuple[Fraction, ...], bool]:
     """Residuals of the coefficient-matching system for affine coefficients.
 
@@ -269,14 +283,7 @@ def exactness_system_deg1(op: LPDO2, root: CharRoot) -> tuple[tuple[Fraction, ..
     the verdict) are returned because their magnitudes are useful as
     approximate-factorization diagnostics.
     """
-    if not op.symbol.is_canonical:
-        raise ValueError("exactness system is defined for the canonical symbol")
-    if op.a10.degree > 1 or op.a01.degree > 1 or op.a00.degree > 1:
-        raise DegreeTooHighError("exactness system needs affine coefficients")
-    rc = reduced_coeffs(op.a10, op.a01, int(root.omega))
-    b1 = op.a00.coeff(0, 0)
-    b2 = op.a00.coeff(0, 1)
-    b3 = op.a00.coeff(1, 0)
+    b1, b2, b3, rc = affine_reduction(op, root, "exactness system", "is defined for")
     values = (
         rc.s3 * rc.s3,
         2 * rc.s3 * rc.s2,

@@ -13,8 +13,14 @@ tighter than *, which binds tighter than binary + and -):
 There is no implicit multiplication and no division operator: a slash is
 only valid inside a rational literal such as "1/2".  Exponents must be
 nonnegative integers; "x^-1" or "x^1/2" raise ExponentError.  Whitespace is
-ignored between tokens.  parse_poly is the exact inverse of
-bkfact.poly.format_poly.
+ignored between tokens.  On polynomials of total degree at most MAX_DEGREE,
+parse_poly is the exact inverse of bkfact.poly.format_poly.
+
+No power or product may exceed total degree MAX_DEGREE.  The degree of a
+power is degree*exponent and that of a product the sum of the factors'
+degrees, so both are checked before anything is expanded: "(x + y)^200"
+fails at once with ExponentError, and a product over the cap with
+ParseError, each at the position of the offending "^" exponent or "*".
 
 Decimal literals are rejected by default; passing decimals=True lexes
 finite decimals like "0.25" and converts them exactly (this backs the CLI's
@@ -28,6 +34,8 @@ from fractions import Fraction
 
 from .errors import ExponentError, ParseError
 from .poly import Poly2
+
+MAX_DEGREE = 32
 
 _NUMBER = "number"
 _VAR = "variable"
@@ -104,8 +112,13 @@ class _Parser:
     def parse_term(self) -> Poly2:
         value = self.parse_factor()
         while self.peek().kind == "*":
-            self.advance()
-            value = value * self.parse_factor()
+            star = self.advance()
+            factor = self.parse_factor()
+            degree = value.degree + factor.degree
+            if degree > MAX_DEGREE:
+                raise ParseError(f"product of total degree {degree} exceeds {MAX_DEGREE}",
+                                 star.pos)
+            value = value * factor
         return value
 
     def parse_factor(self) -> Poly2:
@@ -118,7 +131,13 @@ class _Parser:
         value = self.parse_atom()
         while self.peek().kind == "^":
             self.advance()
-            value = value ** self.parse_exponent()
+            position = self.peek().pos
+            exponent = self.parse_exponent()
+            if value.degree * exponent > MAX_DEGREE:
+                raise ExponentError(
+                    f"power of total degree {value.degree * exponent} exceeds {MAX_DEGREE}",
+                    position)
+            value = value ** exponent
         return value
 
     def parse_exponent(self) -> int:

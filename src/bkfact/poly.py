@@ -305,17 +305,17 @@ class RangeEnclosure:
             raise ValueError("enclosure bounds out of order")
 
 
-def bernstein_on_rect(p: Poly2, xlo: Scalar, xhi: Scalar, ylo: Scalar, yhi: Scalar) -> RangeEnclosure:
-    """Range enclosure of p on the closed rectangle [xlo, xhi] x [ylo, yhi].
+def _bernstein_coefficients(p: Poly2, xlo: Scalar, xhi: Scalar, ylo: Scalar,
+                            yhi: Scalar) -> list[list[Fraction]]:
+    """Tensor-product Bernstein coefficients b[r][s] of p on the closed
+    rectangle [xlo, xhi] x [ylo, yhi], 0 <= r <= x-degree, 0 <= s <= y-degree.
 
-    The rectangle is mapped affinely onto the unit square and p is rewritten
-    in the tensor-product Bernstein basis; the minimum and maximum Bernstein
-    coefficients enclose the range.  The enclosure is exact for affine
-    polynomials and tightens under subdivision, but is generally not tight
-    before it (x^2 on [-1, 1] encloses to [-1, 1]).
+    The rectangle is mapped affinely onto the unit square (x = xlo + wx*u,
+    y = ylo + wy*v), so that p = sum of b[r][s]*B_r(u)*B_s(v) with the
+    Bernstein basis polynomials B_k(t) = comb(d, k)*t^k*(1 - t)^(d - k).
     """
     if p.is_zero:
-        return RangeEnclosure(Fraction(0), Fraction(0))
+        return [[Fraction(0)]]
     x0 = as_fraction(xlo)
     y0 = as_fraction(ylo)
     wx = as_fraction(xhi) - x0
@@ -333,7 +333,7 @@ def bernstein_on_rect(p: Poly2, xlo: Scalar, xhi: Scalar, ylo: Scalar, yhi: Scal
             for l in range(j + 1):
                 power[k][l] += xpart * comb(j, l) * y0 ** (j - l) * wy ** l
 
-    lo = hi = None
+    coeffs = [[Fraction(0)] * (dy + 1) for _ in range(dx + 1)]
     for r in range(dx + 1):
         for s in range(dy + 1):
             b = Fraction(0)
@@ -341,11 +341,21 @@ def bernstein_on_rect(p: Poly2, xlo: Scalar, xhi: Scalar, ylo: Scalar, yhi: Scal
                 ratio_x = Fraction(comb(r, k), comb(dx, k))
                 for l in range(s + 1):
                     b += ratio_x * Fraction(comb(s, l), comb(dy, l)) * power[k][l]
-            if lo is None or b < lo:
-                lo = b
-            if hi is None or b > hi:
-                hi = b
-    return RangeEnclosure(lo, hi)
+            coeffs[r][s] = b
+    return coeffs
+
+
+def bernstein_on_rect(p: Poly2, xlo: Scalar, xhi: Scalar, ylo: Scalar, yhi: Scalar) -> RangeEnclosure:
+    """Range enclosure of p on the closed rectangle [xlo, xhi] x [ylo, yhi].
+
+    The rectangle is mapped affinely onto the unit square and p is rewritten
+    in the tensor-product Bernstein basis; the minimum and maximum Bernstein
+    coefficients enclose the range.  The enclosure is exact for affine
+    polynomials and tightens under subdivision, but is generally not tight
+    before it (x^2 on [-1, 1] encloses to [-1, 1]).
+    """
+    coeffs = [b for row in _bernstein_coefficients(p, xlo, xhi, ylo, yhi) for b in row]
+    return RangeEnclosure(min(coeffs), max(coeffs))
 
 
 def format_poly(p: Poly2) -> str:

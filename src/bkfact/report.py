@@ -26,22 +26,15 @@ from .certify import (
     sample_falsify,
     triangle_sufficient,
 )
-from .errors import DegreeTooHighError
-from .lpdo import LPDO2, CharRoot, characteristic_roots, reduced_coeffs, residual
+from .lpdo import LPDO2, CharRoot, affine_reduction, characteristic_roots, residual
 from .poly import Box, Poly2, Scalar, as_fraction, format_poly
 
 
 def reduced_problem(op: LPDO2, root: CharRoot) -> ReducedProblem:
     """Collapse a canonical operator with affine coefficients into the six
     free variables of the box problem (b's from a00, s's from a10, a01)."""
-    if not op.symbol.is_canonical:
-        raise ValueError("reduced problem requires the canonical symbol")
-    if op.a10.degree > 1 or op.a01.degree > 1 or op.a00.degree > 1:
-        raise DegreeTooHighError("reduced problem needs affine coefficients")
-    rc = reduced_coeffs(op.a10, op.a01, int(root.omega))
-    return ReducedProblem(
-        b1=op.a00.coeff(0, 0), b2=op.a00.coeff(0, 1), b3=op.a00.coeff(1, 0),
-        s1=rc.s1, s2=rc.s2, s3=rc.s3)
+    b1, b2, b3, rc = affine_reduction(op, root, "reduced problem", "requires")
+    return ReducedProblem(b1=b1, b2=b2, b3=b3, s1=rc.s1, s2=rc.s2, s3=rc.s3)
 
 
 @dataclass(frozen=True)
@@ -65,7 +58,7 @@ class Report:
 
     def to_json_dict(self) -> dict:
         return {
-            "parameters": {"eps": str(self.eps), "m": str(self.m), "n": str(self.n)},
+            "parameters": parameters_json(self.eps, self.m, self.n),
             "roots": [_root_json(r) for r in self.roots],
         }
 
@@ -73,13 +66,21 @@ class Report:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def to_text(self) -> str:
-        lines = [f"parameters: eps = {self.eps}, m = {self.m}, n = {self.n}"]
+        lines = [parameters_text(self.eps, self.m, self.n)]
         for r in self.roots:
             lines.append(
                 f"omega = {r.omega}: exact = {_bool_text(r.exact)}, "
                 f"certificate = {_certificate_text(r.certificate)}, "
                 f"{sufficient_text(r.theorem1, r.triangle)}")
         return "\n".join(lines)
+
+
+def parameters_json(eps: Fraction, m: Fraction, n: Fraction) -> dict:
+    return {"eps": str(eps), "m": str(m), "n": str(n)}
+
+
+def parameters_text(eps: Fraction, m: Fraction, n: Fraction) -> str:
+    return f"parameters: eps = {eps}, m = {m}, n = {n}"
 
 
 def _bool_text(value: bool) -> str:

@@ -6,8 +6,19 @@ import math
 import random
 from fractions import Fraction
 
-from bkfact import Box, CertifiedInside, Extrema, GridWitness, Poly2, Violated, as_fraction
+from bkfact import (
+    Box,
+    CertifiedInside,
+    CertRequest,
+    Extrema,
+    GridWitness,
+    Poly2,
+    Unknown,
+    Violated,
+    as_fraction,
+)
 from bkfact.certify import _critical_candidates
+from bkfact.poly import bernstein_on_rect
 
 
 class Poly1:
@@ -228,3 +239,44 @@ def reference_grid_witness(d: Poly2, box: Box, eps: Fraction, grid_k: int):
             if abs(value) >= eps:
                 return GridWitness(x=x, y=y, value=value)
     return None
+
+
+def reference_bernstein_certify(request: CertRequest):
+    """Bernstein subdivision without the outer-boundary face rule: a leaf is
+    certified only when its enclosure lies strictly inside (-eps, eps), so a
+    supremum of exactly eps ends Unknown(gap = 0) even when it is approached
+    only on the excluded boundary.  Same traversal order, center checks and
+    depth budget as bernstein_certify."""
+    d = request.d
+    eps = request.eps
+    box = request.box
+    worst_inside = Fraction(0)
+    overshoots: list[Fraction] = []
+    stack: list[tuple[Fraction, Fraction, Fraction, Fraction, int]] = [
+        (-box.m, box.m, -box.n, box.n, 0)]
+    while stack:
+        xlo, xhi, ylo, yhi, depth = stack.pop()
+        enclosure = bernstein_on_rect(d, xlo, xhi, ylo, yhi)
+        if -eps < enclosure.lo and enclosure.hi < eps:
+            bound = max(enclosure.hi, -enclosure.lo)
+            if bound > worst_inside:
+                worst_inside = bound
+            continue
+        cx = (xlo + xhi) / 2
+        cy = (ylo + yhi) / 2
+        if box.contains_open(cx, cy):  # centers on the outer boundary are skipped
+            value = d.eval(cx, cy)
+            if abs(value) >= eps:
+                return Violated(witness=(cx, cy), value=value)
+        if depth < request.max_depth:
+            if xhi - xlo >= yhi - ylo:
+                stack.append((cx, xhi, ylo, yhi, depth + 1))
+                stack.append((xlo, cx, ylo, yhi, depth + 1))
+            else:
+                stack.append((xlo, xhi, cy, yhi, depth + 1))
+                stack.append((xlo, xhi, ylo, cy, depth + 1))
+        else:
+            overshoots.append(max(enclosure.hi - eps, -eps - enclosure.lo))
+    if overshoots:
+        return Unknown(gap=max(overshoots))
+    return CertifiedInside(margin=eps - worst_inside)

@@ -282,7 +282,7 @@ def test_criterion_09_bernstein_certifier():
             assert UNIT.contains_open(*sub_cert.witness)
     # (b) quartic differences: witnesses verify exactly, Unknown gaps shrink
     X, Y = Poly2.var("x"), Poly2.var("y")
-    cases = [(X ** 4 + Y ** 4, Fraction(2))]  # sup reached only at corners: stays Unknown
+    cases = [(X ** 4 + Y ** 4, Fraction(2))]  # sup reached only at corners: inside(margin = 0)
     while len(cases) < 101:
         a10, a01 = rand_poly2(rng, 2, num_max=2), rand_poly2(rng, 2, num_max=2)
         d = rand_poly2(rng, 2) - canonical_residual(a10, a01, rng.choice((1, -1))).r

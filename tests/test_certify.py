@@ -33,12 +33,17 @@ from bkfact import (
     triangle_sufficient,
     univariate_sufficient,
 )
+from bkfact import certify
+from bkfact.poly import bernstein_on_rect
+
+import helpers
 from helpers import (
     difference_from_expansion,
     exact_grid_extrema,
     rand_frac,
     rand_nonzero_frac,
     rand_poly2,
+    reference_bernstein_certify,
     reference_certificate,
     reference_grid_witness,
     reference_quad_extrema,
@@ -374,12 +379,34 @@ class TestBernsteinCertify:
         assert abs(cert.value) >= Fraction(1, 2)
 
     def test_unknown_when_supremum_equals_eps(self):
-        # sup x^4 = 1 = eps only on the excluded boundary: enclosures cannot
-        # close the gap and no interior point violates, so the subdivision
-        # budget runs out.
-        cert = bernstein_certify(CertRequest(d=X ** 4, box=UNIT, eps=1, max_depth=4))
+        # sup = 1 = eps only at (+-1, 1/3) on the excluded boundary, but that
+        # point is no subrectangle corner: every enclosure around it
+        # overshoots eps, so the subdivision budget runs out.
+        d = X ** 4 - (Y - Poly2.const(Fraction(1, 3))) ** 2 / 4
+        cert = bernstein_certify(CertRequest(d=d, box=UNIT, eps=1, max_depth=4))
         assert isinstance(cert, Unknown)
-        assert cert.gap >= 0
+        assert cert.gap > 0
+
+    @pytest.mark.parametrize("depth", range(5))
+    @pytest.mark.parametrize("d, eps", [(X ** 4, 1), (X ** 3, 1), (X ** 4 + Y ** 4, 2),
+                                        (X ** 6, 1)])
+    def test_boundary_tight_is_inside(self, d, eps, depth):
+        # |d| = eps only on x = +-1 or at the corners, which the open box
+        # excludes; the coefficients show it at every depth.
+        cert = bernstein_certify(CertRequest(d=d, box=UNIT, eps=eps, max_depth=depth))
+        assert cert == CertifiedInside(margin=0)
+
+    def test_undecided_within_budget(self):
+        cert = bernstein_certify(CertRequest(d=X ** 4, box=UNIT, eps=Fraction(1, 2),
+                                             max_depth=0))
+        assert cert == Unknown(gap=Fraction(1, 2))
+
+    def test_interior_touch_is_violated(self):
+        # 1 - x^2*y^2 reaches eps = 1 on the axes, inside the open box.
+        d = Poly2.const(1) - X * X * Y * Y
+        cert = bernstein_certify(CertRequest(d=d, box=UNIT, eps=1, max_depth=4))
+        assert isinstance(cert, Violated)
+        assert UNIT.contains_open(*cert.witness) and d.eval(*cert.witness) == 1
 
     def test_never_contradicts_exact_on_quadratics(self):
         rng = random.Random(21)
@@ -396,11 +423,11 @@ class TestBernsteinCertify:
                 assert abs(d.eval(*sub.witness)) >= eps
 
     def test_gap_monotone_in_depth(self):
-        # sup(x^4 + y^4) = 2 is reached only at the corners, so with eps = 2
-        # the subdivision can neither certify nor falsify: Unknown at every
-        # depth, with a gap that can only shrink as boxes split.
+        # sup = 1 = eps is reached only at (+-1, 1/3), on the boundary but at
+        # no subrectangle corner: Unknown at every depth, with a gap that can
+        # only shrink as boxes split.
         checked = 0
-        cases = [(X ** 4 + Y ** 4, Fraction(2))]
+        cases = [(X ** 4 - (Y - Poly2.const(Fraction(1, 3))) ** 2 / 4, Fraction(1))]
         rng = random.Random(22)
         for _ in range(40):
             a10, a01 = rand_poly2(rng, 2), rand_poly2(rng, 2)
@@ -419,6 +446,85 @@ class TestBernsteinCertify:
         d = X ** 4 - Y ** 3 / 2
         request = CertRequest(d=d, box=UNIT, eps=Fraction(9, 10), max_depth=6)
         assert bernstein_certify(request) == bernstein_certify(request)
+
+
+def _separable_even(rng: random.Random, box: Box) -> tuple[Poly2, Fraction]:
+    """a*x^k + b*y^l + c with even k, l (l may be 0), and an eps equal to the
+    exact value at a corner, on an edge, or at the center."""
+    a, b, c = rand_nonzero_frac(rng, 3, 3), rand_frac(rng, 3, 3), rand_frac(rng, 3, 3)
+    k, l = rng.choice((2, 4, 6)), rng.choice((0, 2, 4))
+    d = a * X ** k + b * Y ** l + Poly2.const(c)
+    corner = a * box.m ** k + b * box.n ** l + c
+    edge = a * box.m ** k + b * (box.n * rng.choice((0, Fraction(1, 2), Fraction(1, 3)))) ** l + c
+    eps = abs(rng.choice((corner, edge, c)))
+    return d, eps if eps > 0 else abs(corner) + 1
+
+
+def _sparse_high_degree(rng: random.Random) -> Poly2:
+    """A random quadratic plus one or two monomials of total degree 3-6."""
+    d = rand_poly2(rng, 2, num_max=3, den_max=3)
+    for _ in range(rng.randint(1, 2)):
+        degree = rng.randint(3, 6)
+        i = rng.randint(0, degree)
+        d = d + Poly2.monomial(i, degree - i, rand_nonzero_frac(rng, 3, 3))
+    return d
+
+
+class TestFaceRuleAgainstReference:
+    """bernstein_certify against the subdivision without the outer-boundary
+    face rule (helpers.reference_bernstein_certify): the two agree except
+    that an Unknown may become CertifiedInside(0), and then its gap is 0."""
+
+    def test_matches_reference(self, monkeypatch):
+        # The face rule only prunes, so both traversals visit the same
+        # rectangles: one enclosure cache per input halves the test's cost.
+        cache = {}
+
+        def cached_enclosure(d, *rect):
+            if rect not in cache:
+                cache[rect] = bernstein_on_rect(d, *rect)
+            return cache[rect]
+
+        monkeypatch.setattr(certify, "bernstein_on_rect", cached_enclosure)
+        monkeypatch.setattr(helpers, "bernstein_on_rect", cached_enclosure)
+        rng = random.Random(20261019)
+        upgraded = 0
+        for k in range(2000):
+            box = UNIT if k % 3 == 0 else Box(abs(rand_nonzero_frac(rng, 3, 3)),
+                                               abs(rand_nonzero_frac(rng, 3, 3)))
+            if k % 2:
+                d, eps = _separable_even(rng, box)
+            else:
+                d, eps = _sparse_high_degree(rng), abs(rand_nonzero_frac(rng, 4, 3))
+            # Depths 0-6, shallow ones more often: a full tree costs 2^(depth+1).
+            request = CertRequest(d, box, eps, max_depth=min(rng.randint(0, 6),
+                                                             rng.randint(0, 6)))
+            cache.clear()
+            new, ref = bernstein_certify(request), reference_bernstein_certify(request)
+            if new != ref:
+                assert isinstance(ref, Unknown) and ref.gap == 0, (d, box, eps)
+                assert new == CertifiedInside(margin=0), (d, box, eps)
+                upgraded += 1
+        assert upgraded > 100
+
+    def test_never_contradicts_exact_on_tight_quadratics(self):
+        rng = random.Random(20261020)
+        decided = 0
+        for k in range(600):
+            box = UNIT if k % 3 == 0 else Box(abs(rand_nonzero_frac(rng)),
+                                               abs(rand_nonzero_frac(rng)))
+            d = _random_quadratic(rng, k % 8, box)
+            ext = quad_box_extrema(d, box)
+            for eps in {abs(ext.max_val), abs(ext.min_val)} - {0}:
+                request = CertRequest(d, box, eps, max_depth=k % 4)
+                exact, sub = certify_open_box(request), bernstein_certify(request)
+                if isinstance(sub, CertifiedInside):
+                    assert isinstance(exact, CertifiedInside) and exact.margin >= sub.margin
+                    decided += sub.margin == 0
+                elif isinstance(sub, Violated):
+                    assert isinstance(exact, Violated)
+                    assert abs(d.eval(*sub.witness)) >= eps and box.contains_open(*sub.witness)
+        assert decided > 50
 
 
 class TestSampleFalsify:

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 from jsonschema import validate
 
-from bkfact.cli import main
+from bkfact.cli import MAX_DEPTH, MAX_GRID, main
+from bkfact.parsing import MAX_DEGREE
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -134,8 +135,8 @@ class TestJson:
         assert cert["witness"] == ["0", "0"]
 
     def test_unknown_schema(self, capsys):
-        status, out, _ = run(capsys, "certify", "--a00", "x^4", "--eps", "1",
-                             "--depth", "3", "--format", "json")
+        status, out, _ = run(capsys, "certify", "--a00", "x^4", "--eps", "1/2",
+                             "--depth", "0", "--format", "json")
         assert status == 2
         payload = json.loads(out)
         validate(payload, REPORT_SCHEMA)
@@ -150,7 +151,11 @@ class TestExitCodes:
         assert run(capsys, "certify", "--a00", "2")[0] == 1
 
     def test_unknown_is_two(self, capsys):
-        assert run(capsys, "certify", "--a00", "x^4", "--eps", "1", "--depth", "2")[0] == 2
+        assert run(capsys, "certify", "--a00", "x^4", "--eps", "1/2", "--depth", "0")[0] == 2
+
+    def test_boundary_tight_is_zero(self, capsys):
+        status, out, _ = run(capsys, "certify", "--a00", "x^4", "--eps", "1", "--depth", "0")
+        assert status == 0 and "certificate = inside(margin = 0)" in out
 
     def test_usage_error(self, capsys):
         status, _, err = run(capsys, "certify", "--eps", "0")
@@ -225,6 +230,26 @@ class TestFlags:
         status, out, err = run(capsys, "certify", *argv)
         assert (status, out) == (65, "")
         assert "cannot read batch file" in err
+
+    @pytest.mark.parametrize("flag, cap, low", [("--depth", MAX_DEPTH, -1), ("--grid", MAX_GRID, 1)])
+    def test_subdivision_caps(self, capsys, tmp_path, flag, cap, low):
+        assert run(capsys, "certify", flag, str(cap))[0] == 0
+        for value in (low, cap + 1):
+            status, out, err = run(capsys, "certify", flag, str(value))
+            assert (status, out) == (64, "") and err.startswith(f"bkfact: usage error: {flag} must")
+        batch = tmp_path / "batch.txt"
+        batch.write_text(f"--a00 2\n{flag} {cap + 1}\n")
+        status, out, err = run(capsys, "certify", "--input", str(batch))
+        assert status == 64 and out == run(capsys, "certify", "--a00", "2")[1]
+        assert err.startswith(f"bkfact: usage error: batch line 2: {flag} must")
+        batch.write_text("--a00 2\n")
+        assert run(capsys, "certify", flag, str(cap + 1), "--input", str(batch))[0] == 64
+
+    def test_degree_cap(self, capsys):
+        status, out, err = run(capsys, "certify", "--a00", "(x+1/3*y-2/7)^200")
+        assert (status, out) == (65, "")
+        assert err == ("bkfact: input error: --a00: power of total degree 200 exceeds "
+                       f"{MAX_DEGREE} at position 14\n")
 
     def test_subdivision_flags_belong_to_certify(self, capsys):
         assert run(capsys, "sufficient", "--depth", "3")[0] == 64

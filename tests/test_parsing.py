@@ -1,12 +1,14 @@
 """Expression parser and canonical formatter."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bkfact import ExponentError, ParseError, Poly2, format_poly, parse_poly
+from bkfact.parsing import MAX_DEGREE
 from helpers import rand_poly2
 
 X = Poly2.var("x")
@@ -82,6 +84,37 @@ class TestParse:
     def test_decimal_exponent_rejected(self):
         with pytest.raises(ExponentError):
             parse_poly("x^1.5", decimals=True)
+
+
+class TestDegreeCap:
+    def test_at_the_cap(self):
+        assert parse_poly(f"x^{MAX_DEGREE}").degree == MAX_DEGREE
+        assert parse_poly(f"x^{MAX_DEGREE - 1}*y").degree == MAX_DEGREE
+        assert parse_poly(f"(x*y)^{MAX_DEGREE // 2}").degree == MAX_DEGREE
+
+    @pytest.mark.parametrize("text, error, position", [
+        (f"x^{MAX_DEGREE + 1}", ExponentError, 2),
+        (f"1 + (x^2)^{MAX_DEGREE // 2 + 1}", ExponentError, 10),
+        (f"x^{MAX_DEGREE}*y", ParseError, 2 + len(str(MAX_DEGREE))),
+        (f"2*x^{MAX_DEGREE // 2}*(x + y)^{MAX_DEGREE // 2}*x", ParseError,
+         13 + 2 * len(str(MAX_DEGREE // 2))),
+    ])
+    def test_over_the_cap(self, text, error, position):
+        with pytest.raises(error) as info:
+            parse_poly(text)
+        assert type(info.value) is error and info.value.position == position
+
+    def test_rejected_before_expanding(self):
+        start = time.perf_counter()
+        with pytest.raises(ExponentError) as info:
+            parse_poly("(x+1/3*y-2/7)^200")
+        assert time.perf_counter() - start < 1
+        assert info.value.position == 14
+        assert str(info.value) == ("power of total degree 200 exceeds "
+                                   f"{MAX_DEGREE} at position 14")
+
+    def test_zero_factor_has_no_degree(self):
+        assert parse_poly(f"0*x^{MAX_DEGREE}*x^{MAX_DEGREE}") == Poly2.zero()
 
 
 class TestFormat:
