@@ -231,14 +231,16 @@ def lifted_sufficient(p: ReducedProblem) -> bool:
 def triangle_sufficient(d: Poly2, box: Box, eps: Scalar) -> bool:
     """Coefficient-wise sufficient condition: sum over monomials of
     |coeff| * m^i * n^j strictly below eps bounds sup |d| on the closed box,
-    hence certifies the open-box predicate."""
+    hence certifies the open-box predicate.
+
+    Decided in integers on the lift L*d(m*u, n*v) = sum of c[i, j]*u^i*v^j,
+    whose |c[i, j]| are L*|coeff|*m^i*n^j: sum |c| * q < p * L for eps = p/q.
+    """
     ev = as_fraction(eps)
     if ev <= 0:
         raise ValueError("tolerance must be positive")
-    total = Fraction(0)
-    for (i, j), coeff in d.terms():
-        total += abs(coeff) * box.m ** i * box.n ** j
-    return total < ev
+    lifted, scale = d.lift(box.m, box.n)
+    return sum(map(abs, lifted.values())) * ev.denominator < ev.numerator * scale
 
 
 # ---------------------------------------------------------------------------

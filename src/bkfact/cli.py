@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import shlex
 import sys
 from fractions import Fraction
@@ -269,6 +270,29 @@ def _names_flag(token: str, flag: str) -> bool:
     return len(name) > 2 and flag.startswith(name)
 
 
+# The POSIX shell-word subset batch files use: bare characters, '...', and
+# "..." without backslashes, adjacent parts forming one word, separated by
+# shlex's whitespace " \t\r\n".  Each unit of a word starts with a
+# different character, so a failed match backtracks in linear time.
+_WORD = r"""(?:[^ \t\r\n'"\\]|'[^']*'|"[^"\\]*")+"""
+_WORDS = re.compile(_WORD)
+_LINE = re.compile(rf"[ \t\r\n]*(?:{_WORD}(?:[ \t\r\n]+|\Z))*")
+_QUOTED = re.compile(r"""'([^']*)'|"([^"]*)"|([^'"]+)""")
+
+
+def _split(line: str) -> list[str]:
+    """shlex.split(line), by regex when the line is in the subset above.
+
+    Any other line (a backslash, an unbalanced quote) goes to shlex.split,
+    which also raises its own ValueError on it.
+    """
+    if _LINE.fullmatch(line) is None:
+        return shlex.split(line)
+    return ["".join(["".join(part) for part in _QUOTED.findall(word)])
+            if "'" in word or '"' in word else word
+            for word in _WORDS.findall(line)]
+
+
 def _run_batch(parser, argv: Sequence[str], path: str, out) -> int:
     # Run the subcommand once per line, parsing the base invocation (minus
     # --input itself) with the line's flags appended, so the line's flags win.
@@ -290,7 +314,7 @@ def _run_batch(parser, argv: Sequence[str], path: str, out) -> int:
         if not line or line.startswith("#"):
             continue
         try:
-            words = shlex.split(line)
+            words = _split(line)
             # --help would print the usage and exit in the middle of the run.
             if any(word == "-h" or _names_flag(word, "--help") for word in words):
                 raise InputError("--help is not allowed in a batch file")

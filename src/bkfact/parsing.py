@@ -16,11 +16,17 @@ nonnegative integers; "x^-1" or "x^1/2" raise ExponentError.  Whitespace is
 ignored between tokens.  On polynomials of total degree at most MAX_DEGREE,
 parse_poly is the exact inverse of bkfact.poly.format_poly.
 
-No power or product may exceed total degree MAX_DEGREE.  The degree of a
-power is degree*exponent and that of a product the sum of the factors'
-degrees, so both are checked before anything is expanded: "(x + y)^200"
-fails at once with ExponentError, and a product over the cap with
-ParseError, each at the position of the offending "^" exponent or "*".
+Numbers are runs of decimal digits (str.isdecimal, so "\u0663" is 3 but
+"\u00b2" is an unexpected character).  A number longer than the
+interpreter's int-conversion limit (4300 digits by default) raises
+ParseError at its position.
+
+No power or product may exceed total degree MAX_DEGREE, and no exponent may
+exceed MAX_DEGREE, whatever its base.  The degree of a power is
+degree*exponent and that of a product the sum of the factors' degrees, so
+both are checked before anything is expanded: "(x + y)^200" and "2^200" fail
+at once with ExponentError, and a product over the cap with ParseError, each
+at the position of the offending "^" exponent or "*".
 
 Decimal literals are rejected by default; passing decimals=True lexes
 finite decimals like "0.25" and converts them exactly (this backs the CLI's
@@ -29,57 +35,62 @@ finite decimals like "0.25" and converts them exactly (this backs the CLI's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
 
 from .errors import ExponentError, ParseError
-from .poly import Poly2
+from .poly import Poly2, Terms, _monomial_product
 
 MAX_DEGREE = 32
 
 _NUMBER = "number"
 _VAR = "variable"
-_OP = "operator"
 _END = "end of input"
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str   # _NUMBER, _VAR, one of "+-*/^()", or _END
-    text: str
-    pos: int
+# One alternative per token class, tried in order; whitespace matches none and
+# is skipped by finditer.  \d and \s are str.isdecimal and str.isspace.
+_TOKEN = re.compile(r"(\d+)|([xy])|([-+*/^()])|(\S)")
+_DECIMAL_TOKEN = re.compile(r"(\d+(?:\.\d*)?|\.\d+)|([xy])|([-+*/^()])|(\S)")
+_KINDS = (None, _NUMBER, _VAR, None)
+_Token = tuple[str, str, int]  # (kind, text, position)
 
 
 def _tokenize(text: str, decimals: bool) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    size = len(text)
-    while i < size:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit() or (decimals and ch == "." and i + 1 < size and text[i + 1].isdigit()):
-            start = i
-            seen_dot = False
-            while i < size and (text[i].isdigit() or (decimals and text[i] == "." and not seen_dot)):
-                if text[i] == ".":
-                    seen_dot = True
-                i += 1
-            tokens.append(_Token(_NUMBER, text[start:i], start))
-            continue
-        if ch in ("x", "y"):
-            tokens.append(_Token(_VAR, ch, i))
-            i += 1
-            continue
-        if ch in "+-*/^()":
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i,
-                         ("number", "x", "y", "operator", "parenthesis"))
-    tokens.append(_Token(_END, "", size))
+    """(kind, text, position) per token, then an end-of-input token.
+
+    kind is "number", "variable" or the operator character itself.  With
+    decimals, a number may hold one "." ("0.25", "1.", ".5").
+    """
+    tokens = []
+    for match in (_DECIMAL_TOKEN if decimals else _TOKEN).finditer(text):
+        group, token = match.lastindex, match.group()
+        if group == 4:
+            raise ParseError(f"unexpected character {token!r}", match.start(),
+                             ("number", "x", "y", "operator", "parenthesis"))
+        tokens.append((_KINDS[group] or token, token, match.start()))
+    tokens.append((_END, "", len(text)))
     return tokens
+
+
+def _number(token: _Token) -> int | Fraction:
+    _, text, position = token
+    try:
+        # Fraction parses decimal strings exactly ("0.25" -> 1/4).
+        return Fraction(text) if "." in text else int(text)
+    except ValueError:  # more digits than the int-conversion limit allows
+        raise ParseError(f"number of {len(text)} digits is too long", position) from None
+
+
+def _degree(terms: Terms) -> int:
+    return max((i + j for i, j in terms), default=-1)
+
+
+def _mul(left: Terms, right: Terms) -> Terms:
+    if len(left) == 1:
+        return _monomial_product(right, left)
+    if len(right) == 1:
+        return _monomial_product(left, right)
+    return (Poly2._of(left) * Poly2._of(right))._terms
 
 
 class _Parser:
@@ -97,106 +108,117 @@ class _Parser:
 
     def expect(self, kind: str, expected: tuple[str, ...]) -> _Token:
         token = self.peek()
-        if token.kind != kind:
-            raise ParseError(f"unexpected {token.kind} {token.text!r}", token.pos, expected)
+        if token[0] != kind:
+            raise _unexpected(token, expected)
         return self.advance()
 
-    def parse_expr(self) -> Poly2:
-        value = self.parse_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            rhs = self.parse_term()
-            value = value + rhs if op.kind == "+" else value - rhs
-        return value
+    def parse_expr(self) -> Terms:
+        # Every parsed value is a new dict, so the sum accumulates in place.
+        total = self.parse_term()
+        while self.peek()[0] in ("+", "-"):
+            negate = self.advance()[0] == "-"
+            for key, coeff in self.parse_term().items():
+                if negate:
+                    coeff = -coeff
+                if key in total:
+                    coeff += total[key]
+                if coeff:
+                    total[key] = coeff
+                else:
+                    del total[key]
+        return total
 
-    def parse_term(self) -> Poly2:
+    def parse_term(self) -> Terms:
         value = self.parse_factor()
-        while self.peek().kind == "*":
+        while self.peek()[0] == "*":
             star = self.advance()
             factor = self.parse_factor()
-            degree = value.degree + factor.degree
+            degree = _degree(value) + _degree(factor)
             if degree > MAX_DEGREE:
                 raise ParseError(f"product of total degree {degree} exceeds {MAX_DEGREE}",
-                                 star.pos)
-            value = value * factor
+                                 star[2])
+            value = _mul(value, factor)
         return value
 
-    def parse_factor(self) -> Poly2:
-        if self.peek().kind == "-":
+    def parse_factor(self) -> Terms:
+        if self.peek()[0] == "-":
             self.advance()
-            return -self.parse_factor()
+            return {key: -coeff for key, coeff in self.parse_factor().items()}
         return self.parse_power()
 
-    def parse_power(self) -> Poly2:
+    def parse_power(self) -> Terms:
         value = self.parse_atom()
-        while self.peek().kind == "^":
+        while self.peek()[0] == "^":
             self.advance()
-            position = self.peek().pos
+            position = self.peek()[2]
             exponent = self.parse_exponent()
-            if value.degree * exponent > MAX_DEGREE:
-                raise ExponentError(
-                    f"power of total degree {value.degree * exponent} exceeds {MAX_DEGREE}",
-                    position)
-            value = value ** exponent
+            degree = _degree(value) * exponent
+            if degree > MAX_DEGREE:
+                raise ExponentError(f"power of total degree {degree} exceeds {MAX_DEGREE}",
+                                    position)
+            if exponent > MAX_DEGREE:
+                raise ExponentError(f"exponent {exponent} exceeds {MAX_DEGREE}", position)
+            value = (Poly2._of(value) ** exponent)._terms
         return value
 
     def parse_exponent(self) -> int:
         token = self.peek()
-        if token.kind == "-":
-            raise ExponentError("negative exponent", token.pos, ("nonnegative integer",))
-        if token.kind != _NUMBER:
-            raise ParseError(f"unexpected {token.kind} {token.text!r}", token.pos,
-                             ("nonnegative integer",))
+        kind, text, position = token
+        if kind == "-":
+            raise ExponentError("negative exponent", position, ("nonnegative integer",))
+        if kind != _NUMBER:
+            raise _unexpected(token, ("nonnegative integer",))
         self.advance()
-        if "." in token.text:
-            raise ExponentError("non-integer exponent", token.pos, ("nonnegative integer",))
+        if "." in text:
+            raise ExponentError("non-integer exponent", position, ("nonnegative integer",))
         # A slash right after the exponent would make it fractional; there is
         # no division operator, so report it as an exponent problem.
-        if self.peek().kind == "/" and self.tokens[self.index + 1].kind == _NUMBER:
-            raise ExponentError("non-integer exponent", self.peek().pos,
+        if self.peek()[0] == "/" and self.tokens[self.index + 1][0] == _NUMBER:
+            raise ExponentError("non-integer exponent", self.peek()[2],
                                 ("nonnegative integer",))
-        return int(token.text)
+        return _number(token)
 
-    def parse_atom(self) -> Poly2:
-        token = self.peek()
-        if token.kind == _NUMBER:
-            self.advance()
-            numerator = _number_value(token)
-            if self.peek().kind == "/":
+    def parse_atom(self) -> Terms:
+        token = self.advance()
+        kind = token[0]
+        if kind == _NUMBER:
+            numerator, denominator = _number(token), 1
+            if self.peek()[0] == "/":
                 self.advance()
                 denom_token = self.expect(_NUMBER, ("number",))
-                denominator = _number_value(denom_token)
+                denominator = _number(denom_token)
                 if denominator == 0:
-                    raise ParseError("zero denominator", denom_token.pos, ("nonzero number",))
-                return Poly2.const(numerator / denominator)
-            return Poly2.const(numerator)
-        if token.kind == _VAR:
-            self.advance()
-            return Poly2.var(token.text)
-        if token.kind == "(":
-            self.advance()
+                    raise ParseError("zero denominator", denom_token[2], ("nonzero number",))
+            value = Fraction(numerator, denominator)
+            return {(0, 0): value} if value else {}
+        if kind == _VAR:
+            return {(1, 0) if token[1] == "x" else (0, 1): Fraction(1)}
+        if kind == "(":
             inner = self.parse_expr()
             self.expect(")", (")",))
             return inner
-        raise ParseError(f"unexpected {token.kind} {token.text!r}", token.pos,
-                         ("number", "x", "y", "(", "-"))
+        raise _unexpected(token, ("number", "x", "y", "(", "-"))
 
 
-def _number_value(token: _Token) -> Fraction:
-    # Fraction parses decimal strings exactly ("0.25" -> 1/4).
-    return Fraction(token.text)
+def _unexpected(token: _Token, expected: tuple[str, ...]) -> ParseError:
+    kind, text, position = token
+    return ParseError(f"unexpected {kind} {text!r}", position, expected)
 
 
 def parse_poly(text: str, decimals: bool = False) -> Poly2:
     """Parse an expression into an exact Poly2.
 
     Raises ParseError (with position and the expected-token set) on
-    malformed input and ExponentError on negative or fractional exponents.
+    malformed input, on a number longer than the int-conversion limit and on
+    a product over MAX_DEGREE; ExponentError on a negative or fractional
+    exponent and on a power over MAX_DEGREE.  Each literal becomes one
+    Fraction, a sum accumulates in one dict, one-term factors multiply
+    without building a Poly2, and only products of multi-term factors and
+    powers go through Poly2.
     """
     parser = _Parser(_tokenize(text, decimals))
     result = parser.parse_expr()
     trailing = parser.peek()
-    if trailing.kind != _END:
-        raise ParseError(f"unexpected {trailing.kind} {trailing.text!r}", trailing.pos,
-                         ("+", "-", "*", "^", "end of input"))
-    return result
+    if trailing[0] != _END:
+        raise _unexpected(trailing, ("+", "-", "*", "^", "end of input"))
+    return Poly2._of(result)

@@ -19,6 +19,8 @@ from math import comb, lcm
 from typing import Mapping, Union
 
 Scalar = Union[int, str, Fraction]
+# A polynomial's terms: exponent pairs (i, j) to nonzero coefficients.
+Terms = dict[tuple[int, int], Fraction]
 
 
 def as_fraction(value: Scalar) -> Fraction:
@@ -37,6 +39,12 @@ def as_fraction(value: Scalar) -> Fraction:
 def _term_sort_key(item: tuple[tuple[int, int], Fraction]) -> tuple[int, int]:
     (i, j), _ = item
     return (-(i + j), -i)
+
+
+def _monomial_product(many: Terms, single: Terms) -> Terms:
+    # A one-term factor gives distinct, nonzero product terms.
+    ((i2, j2), c2), = single.items()
+    return {(i1 + i2, j1 + j2): c1 * c2 for (i1, j1), c1 in many.items()}
 
 
 class Poly2:
@@ -60,6 +68,14 @@ class Poly2:
     @classmethod
     def zero(cls) -> "Poly2":
         return cls()
+
+    @classmethod
+    def _of(cls, terms: Terms) -> "Poly2":
+        # Trusted constructor: terms already maps nonnegative exponent pairs
+        # to nonzero Fractions, and the new polynomial takes ownership of it.
+        result = cls.__new__(cls)
+        result._terms = terms
+        return result
 
     @classmethod
     def const(cls, value: Scalar) -> "Poly2":
@@ -126,9 +142,7 @@ class Poly2:
                 out[key] = total
             else:
                 del out[key]
-        result = Poly2.zero()
-        result._terms = out
-        return result
+        return Poly2._of(out)
 
     def __sub__(self, other: "Poly2") -> "Poly2":
         if not isinstance(other, Poly2):
@@ -136,20 +150,13 @@ class Poly2:
         return self + (-other)
 
     def __neg__(self) -> "Poly2":
-        result = Poly2.zero()
-        result._terms = {key: -coeff for key, coeff in self._terms.items()}
-        return result
+        return Poly2._of({key: -coeff for key, coeff in self._terms.items()})
 
     def __mul__(self, other: "Poly2 | Scalar") -> "Poly2":
         if isinstance(other, Poly2):
             many, single = (other, self) if len(self._terms) == 1 else (self, other)
             if len(single._terms) == 1:
-                # A one-term factor gives distinct, nonzero product terms.
-                ((i2, j2), c2), = single._terms.items()
-                result = Poly2.zero()
-                result._terms = {(i1 + i2, j1 + j2): c1 * c2
-                                 for (i1, j1), c1 in many._terms.items()}
-                return result
+                return Poly2._of(_monomial_product(many._terms, single._terms))
             out: dict[tuple[int, int], Fraction] = {}
             for (i1, j1), c1 in self._terms.items():
                 for (i2, j2), c2 in other._terms.items():
@@ -159,15 +166,11 @@ class Poly2:
                         out[key] = total
                     else:
                         out.pop(key, None)
-            result = Poly2.zero()
-            result._terms = out
-            return result
+            return Poly2._of(out)
         scale = as_fraction(other)
         if scale == 0:
             return Poly2.zero()
-        result = Poly2.zero()
-        result._terms = {key: coeff * scale for key, coeff in self._terms.items()}
-        return result
+        return Poly2._of({key: coeff * scale for key, coeff in self._terms.items()})
 
     def __rmul__(self, other: Scalar) -> "Poly2":
         return self.__mul__(other)
@@ -210,9 +213,7 @@ class Poly2:
             else:
                 if j > 0:
                     out[(i, j - 1)] = coeff * j
-        result = Poly2.zero()
-        result._terms = out
-        return result
+        return Poly2._of(out)
 
     def eval(self, x0: Scalar, y0: Scalar) -> Fraction:
         """Exact value at the point (x0, y0)."""

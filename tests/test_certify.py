@@ -212,6 +212,20 @@ class TestTriangle:
         assert triangle_sufficient(d, Box(Fraction(1, 2), 1), 1)
         assert not triangle_sufficient(d, Box(2, 1), 1)
 
+    def test_matches_fraction_sum(self):
+        # The integer-lift decision against the Fraction sum it replaced; an
+        # eps equal to the sum is not strictly above it.
+        rng = random.Random(81)
+        for _ in range(1500):
+            d = rand_poly2(rng, rng.randint(0, 6), num_max=40, den_max=30)
+            box = Box(abs(rand_nonzero_frac(rng, 9, 7)), abs(rand_nonzero_frac(rng, 9, 7)))
+            total = sum((abs(c) * box.m ** i * box.n ** j for (i, j), c in d.terms()),
+                        Fraction(0))
+            for eps in (abs(rand_nonzero_frac(rng, 60, 60)), total, total * Fraction(1001, 1000),
+                        total * Fraction(999, 1000)):
+                if eps > 0:
+                    assert triangle_sufficient(d, box, eps) == (total < eps)
+
 
 class TestQuadBoxExtrema:
     def test_bowl(self):

@@ -5,9 +5,10 @@ import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from jsonschema import validate
 
-from bkfact.cli import MAX_DEPTH, MAX_GRID, main
+from bkfact.cli import MAX_DEPTH, MAX_GRID, _split, main
 from bkfact.parsing import MAX_DEGREE
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -100,6 +101,15 @@ class TestGolden:
         assert (status, err) == (1, "")
         assert out == (GOLDEN / "batch_quadratic.json").read_text()
 
+    def test_batch_quoting(self, capsys):
+        # Bare, quoted and adjacent parts, tabs, --flag=value, a backslash,
+        # decimals, and a "#" inside quotes on the last line, which fails.
+        status, out, err = run(capsys, "certify", "--input", str(GOLDEN / "batch_quoting.txt"))
+        assert (status, err) == (65, "bkfact: input error: batch line 21: --a00: unexpected "
+                                     "character '#' at position 2 (expected number, x, y, "
+                                     "operator, parenthesis)\n")
+        assert out == (GOLDEN / "batch_quoting.out").read_text()
+
 
 SUBCOMMAND_GOLDENS = json.loads((GOLDEN / "subcommands.json").read_text())
 
@@ -168,6 +178,19 @@ class TestExitCodes:
         status, _, err = run(capsys, "residual", "--a10", "x^-1")
         assert status == 65 and "input error" in err
         assert run(capsys, "residual", "--a10", "2x")[0] == 65
+
+    @pytest.mark.parametrize("text, message", [
+        ("\u00b2", "unexpected character '\u00b2' at position 0 (expected number, x, y, "
+                   "operator, parenthesis)"),
+        ("x^\u2460", "unexpected character '\u2460' at position 2 (expected number, x, y, "
+                     "operator, parenthesis)"),
+        ("9" * 5000, "number of 5000 digits is too long at position 0"),
+        ("x^" + "1" * 5000, "number of 5000 digits is too long at position 2"),
+        ("2^3000000", "exponent 3000000 exceeds 32 at position 2"),
+    ])
+    def test_literal_errors_name_the_flag(self, capsys, text, message):
+        status, out, err = run(capsys, "certify", "--a00", text)
+        assert (status, out, err) == (65, "", f"bkfact: input error: --a00: {message}\n")
 
     def test_input_errors(self, capsys):
         # elliptic symbol: no rational characteristic roots
@@ -333,3 +356,29 @@ class TestBatch:
         assert status == 65
         assert err == ("bkfact: input error: batch line 1: "
                        "exactness system is defined for the canonical symbol\n")
+
+
+SPLIT_LINES = [
+    "", "   ", "--a00 1", "--a00 '1/2*x + y'", '--a00 "x - y"', "''", '""', "'' \"\"",
+    "--a00='x'\"+1\"", "a'b'c\"d\"e", "'it\"s' \"it's\"", "\t--a00\t'x\t+ y'\t",
+    "--root \"#\" # not a comment", "--a00=x=y", "a\\ b", "'a\\b'", '"a\\"b"', "a\\",
+    "'unbalanced", '"unbalanced', "a'b", "x\xa0y \x0b", "a\r\nb",
+]
+
+
+@pytest.mark.parametrize("line", SPLIT_LINES)
+def test_split_matches_shlex(line):
+    assert _outcome(_split, line) == _outcome(shlex.split, line)
+
+
+@given(st.text(alphabet="ab #=-\t\r\n'\"\\\xa0\x0b", max_size=16))
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_split_matches_shlex_property(line):
+    assert _outcome(_split, line) == _outcome(shlex.split, line)
+
+
+def _outcome(split, line):
+    try:
+        return split(line)
+    except ValueError as exc:
+        return str(exc)

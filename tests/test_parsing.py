@@ -1,6 +1,7 @@
 """Expression parser and canonical formatter."""
 
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from bkfact import ExponentError, ParseError, Poly2, format_poly, parse_poly
 from bkfact.parsing import MAX_DEGREE
-from helpers import rand_poly2
+from helpers import rand_poly2, reference_parse_poly
 
 X = Poly2.var("x")
 Y = Poly2.var("y")
@@ -81,6 +82,36 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_poly("0.25*x")
 
+    @pytest.mark.parametrize("decimals", [False, True])
+    @pytest.mark.parametrize("text, position", [
+        ("\u00b2", 0), ("\u00b3*x", 0), ("x + \u2460", 4), ("1\u00b2", 1), ("x^\u00b2", 2),
+    ])
+    def test_non_decimal_digits(self, text, position, decimals):
+        # str.isdigit accepts these, Fraction and int do not.
+        with pytest.raises(ParseError) as info:
+            parse_poly(text, decimals=decimals)
+        assert type(info.value) is ParseError and info.value.position == position
+        assert str(info.value).startswith(f"unexpected character {text[position]!r}")
+
+    def test_unicode_decimal_digits(self):
+        assert parse_poly("\u0663/\u0664*x^\u0662") == 3 * X * X / 4
+        assert parse_poly("\u0663.5", decimals=True) == Poly2.const(Fraction(7, 2))
+
+    @pytest.mark.parametrize("decimals", [False, True])
+    @pytest.mark.parametrize("text, position", [
+        ("9" * 5000, 0), ("x + 1/" + "7" * 5000, 6), ("x^" + "0" * 5000, 2),
+    ])
+    def test_overlong_literal(self, text, position, decimals):
+        with pytest.raises(ParseError) as info:
+            parse_poly(text, decimals=decimals)
+        assert info.value.position == position
+        assert str(info.value) == f"number of 5000 digits is too long at position {position}"
+
+    def test_overlong_decimal(self):
+        with pytest.raises(ParseError) as info:
+            parse_poly("1 + 0." + "5" * 5000, decimals=True)
+        assert str(info.value) == "number of 5002 digits is too long at position 4"
+
     def test_decimal_exponent_rejected(self):
         with pytest.raises(ExponentError):
             parse_poly("x^1.5", decimals=True)
@@ -113,8 +144,111 @@ class TestDegreeCap:
         assert str(info.value) == ("power of total degree 200 exceeds "
                                    f"{MAX_DEGREE} at position 14")
 
+    @pytest.mark.parametrize("text, position", [
+        ("2^33", 2), ("0^33", 2), ("(x^0)^33", 6), ("x - (1 + 2)^33", 12),
+        ("1/2^4000000000", 4),
+    ])
+    def test_constant_power_capped(self, text, position):
+        start = time.perf_counter()
+        with pytest.raises(ExponentError) as info:
+            parse_poly(text)
+        assert time.perf_counter() - start < 1
+        exponent = re.match(r"\d+", text[position:]).group()
+        assert str(info.value) == (f"exponent {exponent} exceeds {MAX_DEGREE} "
+                                   f"at position {position}")
+
+    def test_power_keeps_total_degree_text(self):
+        with pytest.raises(ExponentError) as info:
+            parse_poly(f"x^{MAX_DEGREE + 1}")
+        assert str(info.value) == (f"power of total degree {MAX_DEGREE + 1} exceeds "
+                                   f"{MAX_DEGREE} at position 2")
+        assert parse_poly(f"2^{MAX_DEGREE}") == Poly2.const(2 ** MAX_DEGREE)
+        assert parse_poly(f"0^{MAX_DEGREE} + 0^0") == Poly2.const(1)
+
     def test_zero_factor_has_no_degree(self):
         assert parse_poly(f"0*x^{MAX_DEGREE}*x^{MAX_DEGREE}") == Poly2.zero()
+
+
+# Inputs of the oracle tests are strings over one alphabet: x y 0-9 + - * / ^
+# ( ) . space tab NBSP \x1c (both str.isspace), the Arabic-Indic digit three
+# (str.isdecimal) and superscript two (str.isdigit only); either characters
+# or pieces, which parse more often.
+ALPHABET = "xy0123456789+-*/^(). \t\xa0\x1c\u0663\u00b2"
+PIECES = ["x", "y", "0", "1", "7", "12", "\u0663", "3/4", "2/0", "0.5", ".5", "1.", "\u00b2",
+          "(x + y)", "(1 - x*y)", "(", ")", " + ", " - ", "-", "*", "/", "^", "^0", "^2",
+          "^33", "^123456789", " ", "\t", "\xa0", "\x1c"]
+OPERANDS = ["x", "y", "7", "12", "\u0663", "3/4", "0.5", "(x + y)", "(1 - x*y)^2", "-x^3",
+            "(x - 2/3*y)^4", "0", "2^5"]
+OPERATORS = [" + ", " - ", "*", "^2*", "^0 - ", " + -"]
+
+
+def _outcome(parse, text, decimals):
+    try:
+        return parse(text, decimals).terms()
+    except ParseError as exc:
+        return type(exc), str(exc), exc.position
+
+
+def assert_matches_reference(text, decimals):
+    """parse_poly(text) equals the old parser's result or error, except on
+    the two input classes whose handling changed:
+
+    - a character str.isdigit accepts and str.isdecimal does not is now an
+      unexpected character, as any other letter was: the old parser is run
+      with "\u00b2" replaced by "z" and must give the same, "z" for "\u00b2";
+    - an exponent over MAX_DEGREE is now rejected whatever its base.  The old
+      parser computed such constant powers without bound, so once the new
+      one rejects an exponent, it is replaced by a "0...01" of its length and
+      both are compared on the result.
+
+    Numbers over the int-conversion limit, the third changed class, are too
+    long to arise here; TestParse.test_overlong_literal covers them.
+    """
+    got = _outcome(parse_poly, text, decimals)
+    while isinstance(got, tuple) and got[0] is ExponentError and got[1].startswith("exponent "):
+        position = got[2]
+        digits = re.match(r"\d+", text[position:]).group()
+        assert int(digits) > MAX_DEGREE
+        text = text[:position] + "0" * (len(digits) - 1) + "1" + text[position + len(digits):]
+        got = _outcome(parse_poly, text, decimals)
+    expected = _outcome(reference_parse_poly, text.replace("\u00b2", "z"), decimals)
+    if isinstance(expected, tuple):
+        expected = (expected[0], expected[1].replace("'z'", "'\u00b2'"), expected[2])
+    assert got == expected, text
+
+
+class TestAgainstReference:
+    @given(st.one_of(st.text(alphabet=ALPHABET, max_size=24),
+                     st.lists(st.sampled_from(PIECES), max_size=12).map("".join)),
+           st.booleans())
+    @settings(max_examples=1500, deadline=None, derandomize=True)
+    def test_property(self, text, decimals):
+        assert_matches_reference(text, decimals)
+
+    @pytest.mark.parametrize("decimals", [False, True])
+    def test_seeded(self, decimals):
+        rng = random.Random(8 + decimals)
+        for _ in range(6000):
+            shape = rng.random()
+            if shape < 0.2:
+                text = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 20)))
+            elif shape < 0.5:
+                text = "".join(rng.choice(PIECES) for _ in range(rng.randint(1, 12)))
+            else:
+                # Operands and operators in turn, sometimes with one stray piece.
+                text = rng.choice(OPERANDS) + "".join(
+                    rng.choice(OPERATORS) + rng.choice(OPERANDS) for _ in range(rng.randint(0, 4)))
+                if rng.random() < 0.3:
+                    cut = rng.randint(0, len(text))
+                    text = text[:cut] + rng.choice(PIECES) + text[cut:]
+            assert_matches_reference(text, decimals)
+
+    def test_round_trip_texts(self):
+        rng = random.Random(9)
+        for _ in range(150):
+            text = format_poly(rand_poly2(rng, 5, num_max=10 ** 4, den_max=10 ** 3))
+            assert_matches_reference(text, False)
+            assert_matches_reference(f"({text})*({text}) - x^2*({text})^2", False)
 
 
 class TestFormat:
