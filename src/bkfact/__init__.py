@@ -13,8 +13,6 @@ from .certify import (
     CertifiedInside,
     CertRequest,
     Extrema,
-    GridWitness,
-    QfVariant,
     ReducedProblem,
     Unknown,
     UnivQuad,
@@ -26,7 +24,6 @@ from .certify import (
     qf_neg_casewise,
     qf_neg_compact,
     qf_nonpos_combined,
-    qf_predicate,
     quad_box_extrema,
     quad_from_reduced,
     quad_interval_decision,

@@ -32,7 +32,6 @@ is safe for unrestricted concurrent use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import ClassVar, Optional, Union
 
@@ -40,6 +39,7 @@ from .errors import DegreeTooHighError, PreconditionViolatedError
 from .poly import Box, Poly2, Scalar, _bernstein_coefficients, as_fraction, bernstein_on_rect
 
 Point = tuple[Fraction, Fraction]
+DEFAULT_DEPTH = 12  # Bernstein subdivision depth budget
 
 
 @dataclass(frozen=True)
@@ -58,18 +58,6 @@ class UnivQuad:
     def eval(self, x: Scalar) -> Fraction:
         xv = as_fraction(x)
         return (self.a * xv + self.b) * xv + self.c
-
-    def __call__(self, x: Scalar) -> Fraction:
-        return self.eval(x)
-
-
-class QfVariant(Enum):
-    """The four printed quantifier-free criteria for |a*x^2+b*x+c| < 4 on (-1, 1)."""
-
-    NEG_COMPACT = "neg-compact"      # requires a < 0; endpoint conjuncts + one disjunction
-    NEG_CASEWISE = "neg-casewise"    # requires a < 0; three-case vertex analysis
-    LINEAR = "linear"                # requires a = 0, b != 0; endpoint conjuncts only
-    NONPOS_COMBINED = "nonpos"       # requires a <= 0; compact form with an a = 0 disjunct
 
 
 def _endpoint_conjuncts(q: UnivQuad) -> bool:
@@ -131,19 +119,6 @@ def qf_nonpos_combined(q: UnivQuad) -> bool:
     return _endpoint_conjuncts(q) and (
         b - 2 * a <= 0 or b + 2 * a >= 0
         or 4 * a * c - b * b - 16 * a > 0 or a == 0)
-
-
-_QF_DISPATCH = {
-    QfVariant.NEG_COMPACT: qf_neg_compact,
-    QfVariant.NEG_CASEWISE: qf_neg_casewise,
-    QfVariant.LINEAR: qf_linear,
-    QfVariant.NONPOS_COMBINED: qf_nonpos_combined,
-}
-
-
-def qf_predicate(variant: QfVariant, q: UnivQuad) -> bool:
-    """Evaluate one of the printed quantifier-free criteria exactly."""
-    return _QF_DISPATCH[variant](q)
 
 
 def quad_interval_decision(q: UnivQuad, m: Scalar, eps: Scalar) -> bool:
@@ -266,84 +241,17 @@ class Extrema:
     interior_max_attained: bool
 
 
-def _clip_line_to_box(p0: Point, direction: Point, box: Box
-                      ) -> Optional[tuple[Point, bool]]:
-    """Intersect the line p0 + t*direction with the box.
-
-    Returns (representative point, meets_open_box) for a nonempty closed
-    intersection, preferring a representative strictly inside the open box
-    whenever one exists, else None.
-    """
-    tlo: Optional[Fraction] = None
-    thi: Optional[Fraction] = None
-    strict_const_ok = True
-    for coord, step, bound in ((p0[0], direction[0], box.m), (p0[1], direction[1], box.n)):
-        if step == 0:
-            if abs(coord) > bound:
-                return None
-            if abs(coord) == bound:
-                strict_const_ok = False
-            continue
-        t1 = (-bound - coord) / step
-        t2 = (bound - coord) / step
-        if t1 > t2:
-            t1, t2 = t2, t1
-        tlo = t1 if tlo is None or t1 > tlo else tlo
-        thi = t2 if thi is None or t2 < thi else thi
-    # direction is nonzero, so at least one axis bounded t.
-    if tlo is None or thi is None or tlo > thi:
+def _chord_middle(p: int, q: int, r: int) -> Optional[Fraction]:
+    """Middle of the w-range of the chord of the line p*w + q*z + r = 0
+    through [-1, 1]^2, i.e. of |w| <= 1 with |p*w + r| <= |q|; None if the
+    line misses the square."""
+    lo, hi = Fraction(-1), Fraction(1)
+    if p:
+        ends = sorted((Fraction(-r - abs(q), p), Fraction(abs(q) - r, p)))
+        lo, hi = max(lo, ends[0]), min(hi, ends[1])
+    elif abs(r) > abs(q):
         return None
-    t_mid = (tlo + thi) / 2
-    point = (p0[0] + t_mid * direction[0], p0[1] + t_mid * direction[1])
-    meets_open = strict_const_ok and tlo < thi
-    return point, meets_open
-
-
-def _critical_candidates(d: Poly2, box: Box) -> list[tuple[Point, Fraction, bool]]:
-    """Stationary points inside the closed box of a quadratic whose
-    gradient system is singular (4*a20*a02 = a11^2).
-
-    A consistent system yields a critical line, on which the quadratic is
-    constant, or the whole box when d is constant; an inconsistent one
-    yields nothing.
-    """
-    a2 = d.coeff(2, 0)
-    a11 = d.coeff(1, 1)
-    b2 = d.coeff(0, 2)
-    cx = d.coeff(1, 0)
-    cy = d.coeff(0, 1)
-    # Gradient: (2*a2*x + a11*y + cx, a11*x + 2*b2*y + cy).
-    row1 = (2 * a2, a11)
-    row2 = (a11, 2 * b2)
-    if row1 == (0, 0) and row2 == (0, 0):
-        # No quadratic part: a constant is attained everywhere.
-        return [((Fraction(0), Fraction(0)), d.coeff(0, 0), True)] if cx == cy == 0 else []
-    if row1 == (0, 0):
-        # det = 0 with row1 = 0 forces a2 = a11 = 0, so row2 = (0, 2*b2) with
-        # b2 != 0: the critical set is the horizontal line y = -cy/(2*b2),
-        # provided the first gradient equation 0 = -cx is consistent.
-        if cx != 0:
-            return []
-        line_point = (Fraction(0), -cy / (2 * b2))
-        direction = (Fraction(1), Fraction(0))
-    elif row2 == (0, 0):
-        # Symmetric: a11 = b2 = 0 and a2 != 0; vertical line x = -cx/(2*a2).
-        if cy != 0:
-            return []
-        line_point = (-cx / (2 * a2), Fraction(0))
-        direction = (Fraction(0), Fraction(1))
-    else:
-        # Two parallel nonzero rows; det = 0 then forces a2 != 0.
-        lam = a11 / (2 * a2)
-        if cy != lam * cx:
-            return []
-        line_point = (-cx / (2 * a2), Fraction(0))
-        direction = (-a11, 2 * a2)
-    clipped = _clip_line_to_box(line_point, direction, box)
-    if clipped is None:
-        return []
-    point, meets_open = clipped
-    return [(point, d.eval(*point), meets_open)]
+    return (lo + hi) / 2 if lo <= hi else None
 
 
 def quad_box_extrema(d: Poly2, box: Box) -> Extrema:
@@ -356,10 +264,13 @@ def quad_box_extrema(d: Poly2, box: Box) -> Extrema:
     inside its edge (|B*v + D| < 2|A| on v = +-1, |B*u + E| < 2|C| on
     u = +-1), and, for det = 4AC - B^2 != 0, the stationary point
     (nu, nv)/det = (B*E - 2C*D, B*D - 2A*E)/det if it lies in the closed
-    square, of value (2F*det + D*nu + E*nv)/(2*det*L).  Only candidates
-    become Fractions.  For det = 0 the critical line or constant is found in
-    the original coordinates.  An extremum over the closed box is always
-    attained at a candidate.
+    square, of value (2F*det + D*nu + E*nv)/(2*det*L).  For det = 0 the
+    gradient rows (2A, B, D) and (B, 2C, E) must have rank <= 1 for a
+    critical point to exist: then d is constant (a candidate attained in the
+    open box) or constant along the line p*u + q*v + r = 0 of the first
+    nonzero row, whose chord through the square adds its midpoint, valued by
+    d.eval.  Only candidates become Fractions.  An extremum over the closed
+    box is always attained at a candidate.
     """
     if d.degree > 2:
         raise DegreeTooHighError("exact box extrema require total degree <= 2")
@@ -378,14 +289,22 @@ def quad_box_extrema(d: Poly2, box: Box) -> Extrema:
                 candidates.append(((t * m, s * n) if horizontal else (s * m, t * n),
                                    Fraction(4 * lead * rest - qb * qb, 4 * lead * scale), False))
     det = 4 * a * c - b * b
-    if det == 0:
-        candidates += _critical_candidates(d, box)
-    else:
+    if det:
         nu, nv = b * dv - 2 * c * du, b * du - 2 * a * dv
         if abs(nu) <= abs(det) and abs(nv) <= abs(det):
             candidates.append(((Fraction(nu, det) * m, Fraction(nv, det) * n),
                                Fraction(2 * f * det + du * nu + dv * nv, 2 * det * scale),
                                abs(nu) < abs(det) and abs(nv) < abs(det)))
+    elif a == b == c == 0:
+        if du == dv == 0:  # a constant is attained everywhere; affine d has no critical point
+            candidates.append(((Fraction(0), Fraction(0)), Fraction(f, scale), True))
+    elif 2 * a * dv == b * du and b * dv == 2 * c * du:
+        p, q, r = (2 * a, b, du) if a else (b, 2 * c, dv)  # det = 0 and a = 0 force b = 0
+        u, v = _chord_middle(p, q, r), _chord_middle(q, p, r)
+        if u is not None and v is not None:
+            # A chord meets the open square iff its midpoint does.
+            point = (u * m, v * n)
+            candidates.append((point, d.eval(*point), box.contains_open(*point)))
     by_point: dict[Point, tuple[Fraction, bool]] = {}
     for point, value, interior in candidates:
         known = by_point.get(point)
@@ -458,7 +377,7 @@ class CertRequest:
     d: Poly2
     box: Box
     eps: Fraction
-    max_depth: int = 12
+    max_depth: int = DEFAULT_DEPTH
 
     def __post_init__(self):
         object.__setattr__(self, "eps", as_fraction(self.eps))
@@ -603,23 +522,15 @@ def bernstein_certify(request: CertRequest) -> Certificate:
     return CertifiedInside(margin=eps - worst_inside)
 
 
-@dataclass(frozen=True)
-class GridWitness:
-    """A grid point strictly inside the box where |D| reaches the tolerance."""
-
-    x: Fraction
-    y: Fraction
-    value: Fraction
-
-
-def sample_falsify(request: CertRequest, grid_k: int) -> Optional[GridWitness]:
+def sample_falsify(request: CertRequest, grid_k: int) -> Optional[Violated]:
     """Scan the interior grid (m*i/K, n*j/K), |i|,|j| < K, for |D| >= eps.
 
-    Points are visited row-major (i ascending outermost, then j) and the
-    first violation is returned, or None after a full sweep.  Evaluation is
-    exact: d.lift(m/K, n/K) gives integers c and L with L*D(m*i/K, n*j/K) =
-    sum of c*i^a*j^b, so each grid value is an integer polynomial at the
-    integer point (i, j), compared against eps*L.
+    Points are visited row-major (i ascending outermost, then j).  The scan
+    is exact: d.lift(m/K, n/K) gives integers c and L with L*D(m*i/K, n*j/K)
+    = sum of c*i^a*j^b, so each grid value is an integer polynomial at the
+    integer point (i, j), compared against eps*L.  The first hit is
+    confirmed by d.eval and returned as a Violated certificate; None after a
+    full sweep without a hit, or if d.eval were ever to disagree.
     """
     if grid_k < 2:
         raise ValueError("grid resolution must be at least 2")
@@ -648,7 +559,7 @@ def sample_falsify(request: CertRequest, grid_k: int) -> Optional[GridWitness]:
             for coeff in reversed(row):
                 value = value * j + coeff
             if abs(value) * t_den >= t_num:
-                return GridWitness(x=Fraction(i, grid_k) * m,
-                                   y=Fraction(j, grid_k) * n,
-                                   value=Fraction(value, scale))
+                witness = (Fraction(i, grid_k) * m, Fraction(j, grid_k) * n)
+                exact = d.eval(*witness)
+                return Violated(witness=witness, value=exact) if abs(exact) >= eps else None
     return None

@@ -18,6 +18,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .certify import DEFAULT_DEPTH
 from .errors import BkfactError, ParseError
 from .lpdo import (
     LPDO2,
@@ -120,8 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the exactness residual values and verdict")
     certify = sub.add_parser("certify", parents=[operator_flags, box_flags, output],
                              help="certify |a00 - R| < eps on the open box")
-    certify.add_argument("--depth", type=int, default=12,
-                         help="Bernstein subdivision depth (default 12)")
+    certify.add_argument("--depth", type=int, default=DEFAULT_DEPTH,
+                         help=f"Bernstein subdivision depth (default {DEFAULT_DEPTH})")
     certify.add_argument("--grid", type=int, default=0,
                          help="falsifier grid resolution, 0 = off (default 0)")
     sub.add_parser("sufficient", parents=[operator_flags, box_flags, output],
@@ -342,10 +343,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"bkfact: usage error: {exc}", file=err)
         return EX_USAGE
-    except InputError as exc:
-        print(f"bkfact: input error: {exc}", file=err)
-        return EX_DATA
-    except (BkfactError, ValueError) as exc:
+    except (InputError, BkfactError, ValueError) as exc:
         print(f"bkfact: input error: {exc}", file=err)
         return EX_DATA
 

@@ -26,7 +26,9 @@ exceed MAX_DEGREE, whatever its base.  The degree of a power is
 degree*exponent and that of a product the sum of the factors' degrees, so
 both are checked before anything is expanded: "(x + y)^200" and "2^200" fail
 at once with ExponentError, and a product over the cap with ParseError, each
-at the position of the offending "^" exponent or "*".
+at the position of the offending "^" exponent or "*".  A power c^e of a
+constant c = p/q with e > 1 raises ExponentError at its exponent when
+e*max(bitlen p, bitlen q) exceeds MAX_POWER_BITS, before it is computed.
 
 Decimal literals are rejected by default; passing decimals=True lexes
 finite decimals like "0.25" and converts them exactly (this backs the CLI's
@@ -42,6 +44,9 @@ from .errors import ExponentError, ParseError
 from .poly import Poly2, Terms, _monomial_product
 
 MAX_DEGREE = 32
+# A power of a constant may have at most this many bits: at most 4,215 decimal
+# digits, so it prints under Python's default 4,300-digit int-string limit.
+MAX_POWER_BITS = 14_000
 
 _NUMBER = "number"
 _VAR = "variable"
@@ -158,6 +163,13 @@ class _Parser:
                                     position)
             if exponent > MAX_DEGREE:
                 raise ExponentError(f"exponent {exponent} exceeds {MAX_DEGREE}", position)
+            if _degree(value) == 0 and exponent > 1:
+                constant = value[(0, 0)]
+                bits = exponent * max(constant.numerator.bit_length(),
+                                      constant.denominator.bit_length())
+                if bits > MAX_POWER_BITS:
+                    raise ExponentError(f"constant power of up to {bits} bits exceeds "
+                                        f"{MAX_POWER_BITS}", position)
             value = (Poly2._of(value) ** exponent)._terms
         return value
 
@@ -211,10 +223,10 @@ def parse_poly(text: str, decimals: bool = False) -> Poly2:
     Raises ParseError (with position and the expected-token set) on
     malformed input, on a number longer than the int-conversion limit and on
     a product over MAX_DEGREE; ExponentError on a negative or fractional
-    exponent and on a power over MAX_DEGREE.  Each literal becomes one
-    Fraction, a sum accumulates in one dict, one-term factors multiply
-    without building a Poly2, and only products of multi-term factors and
-    powers go through Poly2.
+    exponent, on a power over MAX_DEGREE and on a constant power over
+    MAX_POWER_BITS.  Each literal becomes one Fraction, a sum accumulates in
+    one dict, one-term factors multiply without building a Poly2, and only
+    products of multi-term factors and powers go through Poly2.
     """
     parser = _Parser(_tokenize(text, decimals))
     result = parser.parse_expr()

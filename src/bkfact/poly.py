@@ -230,9 +230,6 @@ class Poly2:
             total += coeff * xpow[i] * ypow[j]
         return total
 
-    def __call__(self, x0: Scalar, y0: Scalar) -> Fraction:
-        return self.eval(x0, y0)
-
     def lift(self, m: Scalar, n: Scalar) -> tuple[dict[tuple[int, int], int], int]:
         """Integer coefficients of p(m*u, n*v) over one common denominator.
 

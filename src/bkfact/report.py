@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .certify import (
+    DEFAULT_DEPTH,
     Certificate,
     CertifiedInside,
     CertRequest,
@@ -141,7 +142,7 @@ def sufficient_text(theorem1: Optional[bool], triangle: bool) -> str:
 
 
 def approx_factor_report(op: LPDO2, box: Box, eps: Scalar,
-                         max_depth: int = 12, grid_k: int = 0,
+                         max_depth: int = DEFAULT_DEPTH, grid_k: int = 0,
                          roots: Optional[tuple[CharRoot, ...]] = None) -> Report:
     """Run the full per-root analysis of an operator on a box.
 
@@ -149,7 +150,7 @@ def approx_factor_report(op: LPDO2, box: Box, eps: Scalar,
     is given): residual, exact verdict, difference certificate, and the
     sufficient-condition verdicts (see sufficient_conditions).  When
     grid_k >= 2, an Unknown certificate is retried with the grid falsifier
-    and upgraded to Violated if a witness turns up.
+    and replaced by the Violated certificate it returns, if any.
     """
     eps_v = as_fraction(eps)
     if roots is None:
@@ -161,12 +162,7 @@ def approx_factor_report(op: LPDO2, box: Box, eps: Scalar,
         request = CertRequest(d=difference, box=box, eps=eps_v, max_depth=max_depth)
         certificate = certify_open_box(request)
         if isinstance(certificate, Unknown) and grid_k >= 2:
-            witness = sample_falsify(request, grid_k)
-            if witness is not None:
-                # Re-verify by direct evaluation before certifying a violation.
-                value = difference.eval(witness.x, witness.y)
-                if abs(value) >= eps_v:
-                    certificate = Violated(witness=(witness.x, witness.y), value=value)
+            certificate = sample_falsify(request, grid_k) or certificate
         theorem1, triangle = sufficient_conditions(op, root, difference, box, eps_v)
         entries.append(RootReport(
             omega=root.omega,

@@ -6,22 +6,23 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from bkfact import (
     Box,
     CertifiedInside,
     CertRequest,
     Extrema,
-    GridWitness,
     Poly2,
     Unknown,
     Violated,
     as_fraction,
 )
-from bkfact.certify import _critical_candidates
 from bkfact.errors import ExponentError, ParseError
 from bkfact.parsing import MAX_DEGREE
 from bkfact.poly import bernstein_on_rect
+
+Point = tuple[Fraction, Fraction]
 
 
 class Poly1:
@@ -163,11 +164,94 @@ def exact_grid_extrema(d: Poly2, box: Box, grid_k: int) -> tuple[Fraction, Fract
     return Fraction(lo, scale), Fraction(hi, scale)
 
 
+def _clip_line_to_box(p0: Point, direction: Point, box: Box
+                      ) -> Optional[tuple[Point, bool]]:
+    """Intersect the line p0 + t*direction with the box.
+
+    Returns (representative point, meets_open_box) for a nonempty closed
+    intersection, preferring a representative strictly inside the open box
+    whenever one exists, else None.
+    """
+    tlo: Optional[Fraction] = None
+    thi: Optional[Fraction] = None
+    strict_const_ok = True
+    for coord, step, bound in ((p0[0], direction[0], box.m), (p0[1], direction[1], box.n)):
+        if step == 0:
+            if abs(coord) > bound:
+                return None
+            if abs(coord) == bound:
+                strict_const_ok = False
+            continue
+        t1 = (-bound - coord) / step
+        t2 = (bound - coord) / step
+        if t1 > t2:
+            t1, t2 = t2, t1
+        tlo = t1 if tlo is None or t1 > tlo else tlo
+        thi = t2 if thi is None or t2 < thi else thi
+    # direction is nonzero, so at least one axis bounded t.
+    if tlo is None or thi is None or tlo > thi:
+        return None
+    t_mid = (tlo + thi) / 2
+    point = (p0[0] + t_mid * direction[0], p0[1] + t_mid * direction[1])
+    meets_open = strict_const_ok and tlo < thi
+    return point, meets_open
+
+
+def reference_critical_candidates(d: Poly2, box: Box) -> list[tuple[Point, Fraction, bool]]:
+    """Stationary points inside the closed box of a quadratic whose
+    gradient system is singular (4*a20*a02 = a11^2), found in the original
+    coordinates (independent of quad_box_extrema's integer lift).
+
+    A consistent system yields a critical line, on which the quadratic is
+    constant, or the whole box when d is constant; an inconsistent one
+    yields nothing.
+    """
+    a2 = d.coeff(2, 0)
+    a11 = d.coeff(1, 1)
+    b2 = d.coeff(0, 2)
+    cx = d.coeff(1, 0)
+    cy = d.coeff(0, 1)
+    # Gradient: (2*a2*x + a11*y + cx, a11*x + 2*b2*y + cy).
+    row1 = (2 * a2, a11)
+    row2 = (a11, 2 * b2)
+    if row1 == (0, 0) and row2 == (0, 0):
+        # No quadratic part: a constant is attained everywhere.
+        return [((Fraction(0), Fraction(0)), d.coeff(0, 0), True)] if cx == cy == 0 else []
+    if row1 == (0, 0):
+        # det = 0 with row1 = 0 forces a2 = a11 = 0, so row2 = (0, 2*b2) with
+        # b2 != 0: the critical set is the horizontal line y = -cy/(2*b2),
+        # provided the first gradient equation 0 = -cx is consistent.
+        if cx != 0:
+            return []
+        line_point = (Fraction(0), -cy / (2 * b2))
+        direction = (Fraction(1), Fraction(0))
+    elif row2 == (0, 0):
+        # Symmetric: a11 = b2 = 0 and a2 != 0; vertical line x = -cx/(2*a2).
+        if cy != 0:
+            return []
+        line_point = (-cx / (2 * a2), Fraction(0))
+        direction = (Fraction(0), Fraction(1))
+    else:
+        # Two parallel nonzero rows; det = 0 then forces a2 != 0.
+        lam = a11 / (2 * a2)
+        if cy != lam * cx:
+            return []
+        line_point = (-cx / (2 * a2), Fraction(0))
+        direction = (-a11, 2 * a2)
+    clipped = _clip_line_to_box(line_point, direction, box)
+    if clipped is None:
+        return []
+    point, meets_open = clipped
+    return [(point, d.eval(*point), meets_open)]
+
+
 def reference_quad_extrema(d: Poly2, box: Box) -> Extrema:
     """Exact extrema of a total-degree <= 2 polynomial on the closed box by
-    the restriction route (independent of quad_box_extrema's integer lift):
-    corners and edge vertices come from restrict and eval in the
-    original coordinates, and so does the isolated stationary point."""
+    the restriction route, wholly independent of quad_box_extrema's integer
+    lift: corners and edge vertices come from restrict and eval in the
+    original coordinates, and so do the isolated stationary point and, for a
+    singular gradient system, reference_critical_candidates' line or
+    constant."""
     assert d.degree <= 2
     m, n = box.m, box.n
     candidates = [((cx, cy), d.eval(cx, cy), False) for cx in (-m, m) for cy in (-n, n)]
@@ -180,12 +264,12 @@ def reference_quad_extrema(d: Poly2, box: Box) -> Extrema:
                     point = (t, fixed) if axis == "y" else (fixed, t)
                     candidates.append((point, g.eval(t), False))
     # Stationary points in the original coordinates: an isolated one when the
-    # gradient system is regular, else _critical_candidates' line/constant.
+    # gradient system is regular, else reference_critical_candidates'.
     a2, a11, b2 = d.coeff(2, 0), d.coeff(1, 1), d.coeff(0, 2)
     cx, cy = d.coeff(1, 0), d.coeff(0, 1)
     det = 4 * a2 * b2 - a11 * a11
     if det == 0:
-        candidates += _critical_candidates(d, box)
+        candidates += reference_critical_candidates(d, box)
     else:
         x0, y0 = (a11 * cy - 2 * b2 * cx) / det, (a11 * cx - 2 * a2 * cy) / det
         if box.contains_closed(x0, y0):
@@ -240,7 +324,7 @@ def reference_grid_witness(d: Poly2, box: Box, eps: Fraction, grid_k: int):
             x, y = Fraction(i, grid_k) * box.m, Fraction(j, grid_k) * box.n
             value = d.eval(x, y)
             if abs(value) >= eps:
-                return GridWitness(x=x, y=y, value=value)
+                return Violated(witness=(x, y), value=value)
     return None
 
 
@@ -332,9 +416,10 @@ def _tokenize(text: str, decimals: bool) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[_Token], power_check=None):
         self.tokens = tokens
         self.index = 0
+        self.power_check = power_check
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -386,6 +471,8 @@ class _Parser:
                 raise ExponentError(
                     f"power of total degree {value.degree * exponent} exceeds {MAX_DEGREE}",
                     position)
+            if self.power_check is not None:
+                self.power_check(value, exponent, position)
             value = value ** exponent
         return value
 
@@ -436,14 +523,16 @@ def _number_value(token: _Token) -> Fraction:
     return Fraction(token.text)
 
 
-def reference_parse_poly(text: str, decimals: bool = False) -> Poly2:
+def reference_parse_poly(text: str, decimals: bool = False, power_check=None) -> Poly2:
     """bkfact.parsing.parse_poly before it tokenized with one regex and
     accumulated terms in dicts: one _Token and one Poly2 per atom.
 
     Raises ParseError (with position and the expected-token set) on
     malformed input and ExponentError on negative or fractional exponents.
+    power_check(base, exponent, position), if given, runs before each power
+    is computed and may raise.
     """
-    parser = _Parser(_tokenize(text, decimals))
+    parser = _Parser(_tokenize(text, decimals), power_check)
     result = parser.parse_expr()
     trailing = parser.peek()
     if trailing.kind != _END:

@@ -12,7 +12,6 @@ from bkfact import (
     CertRequest,
     Poly2,
     PreconditionViolatedError,
-    QfVariant,
     ReducedProblem,
     Unknown,
     UnivQuad,
@@ -25,7 +24,6 @@ from bkfact import (
     qf_neg_casewise,
     qf_neg_compact,
     qf_nonpos_combined,
-    qf_predicate,
     quad_box_extrema,
     quad_from_reduced,
     quad_interval_decision,
@@ -45,6 +43,7 @@ from helpers import (
     rand_poly2,
     reference_bernstein_certify,
     reference_certificate,
+    reference_critical_candidates,
     reference_grid_witness,
     reference_quad_extrema,
     restrict,
@@ -61,7 +60,7 @@ def exact_unit_decision(q: UnivQuad) -> bool:
 
 class TestQfCriteria:
     def test_zero_polynomial(self):
-        assert qf_predicate(QfVariant.NONPOS_COMBINED, UnivQuad(0, 0, 0))
+        assert qf_nonpos_combined(UnivQuad(0, 0, 0))
 
     def test_downward_square(self):
         # 4ac - b^2 - 16a = 16 > 0 carries the vertex disjunct.
@@ -331,6 +330,77 @@ class TestIntegerLiftAgainstReference:
                         (d, box, eps)
 
 
+def _rank_one_quadratic(rng: random.Random, k: int, box: Box) -> Poly2:
+    """A seeded det = 0 input: kappa*l^2 + c0 for the line l = alpha*x +
+    beta*y + gamma = 0 (horizontal, vertical or oblique), placed through a
+    point of the box, through a corner (along an edge when axis-parallel),
+    against one corner from outside, or missing the box.  Every third of
+    these gets a term delta*(-beta*x + alpha*y), which makes the gradient
+    system inconsistent.  One case in ten is a constant, one an affine d."""
+    if k % 10 == 0:
+        return Poly2.const(rand_frac(rng))
+    if k % 10 == 1:
+        return rand_poly2(rng, 1)
+    m, n = box.m, box.n
+    alpha, beta = rand_nonzero_frac(rng), rand_nonzero_frac(rng)
+    if k % 3 == 0:
+        alpha = Fraction(0)
+    elif k % 3 == 1:
+        beta = Fraction(0)
+    placement = (k // 3) % 4
+    if placement == 0:
+        x0, y0 = helpers.rand_point_in_box(rng, box, den=4)
+        gamma = -(alpha * x0 + beta * y0)
+    elif placement in (1, 2):
+        sx, sy = rng.choice((-1, 1)), rng.choice((-1, 1))
+        if placement == 2:  # the corner maximizing alpha*x + beta*y
+            sx, sy = (1 if alpha >= 0 else -1), (1 if beta >= 0 else -1)
+        gamma = -(alpha * sx * m + beta * sy * n)
+    else:
+        gamma = rng.choice((-1, 1)) * (abs(alpha) * m + abs(beta) * n + abs(rand_nonzero_frac(rng)))
+    line = Poly2.affine(alpha, beta, gamma)
+    d = rand_nonzero_frac(rng) * line * line + Poly2.const(rand_frac(rng))
+    if (k // 12) % 3 == 2:
+        d = d + rand_nonzero_frac(rng) * Poly2.affine(-beta, alpha, 0)
+    return d
+
+
+class TestRankOneAgainstReference:
+    def test_critical_line_matches_reference(self, monkeypatch):
+        # quad_box_extrema evaluates d only at a critical-line point, so the
+        # points it evaluates must be those of the reference line path.
+        evaluated = []
+        evaluate = Poly2.eval
+
+        def recording(p, x, y):
+            evaluated.append((x, y))
+            return evaluate(p, x, y)
+
+        monkeypatch.setattr(Poly2, "eval", recording)
+        rng = random.Random(9)
+        seen = {"no line": 0, "open": 0, "edge": 0, "corner": 0}
+        for k in range(3000):
+            box = UNIT if k % 4 == 0 else Box(abs(rand_nonzero_frac(rng)),
+                                               abs(rand_nonzero_frac(rng)))
+            d = _rank_one_quadratic(rng, k, box)
+            line = reference_critical_candidates(d, box)
+            ext = reference_quad_extrema(d, box)
+            evaluated.clear()
+            assert quad_box_extrema(d, box) == ext, (d, box)
+            if d.degree == 2:  # a constant's candidate needs no evaluation
+                assert evaluated == [point for point, _, _ in line], (d, box)
+            if not line:
+                seen["no line"] += 1
+            else:
+                (x, y), _, meets_open = line[0]
+                seen["open" if meets_open else
+                     "corner" if (abs(x), abs(y)) == (box.m, box.n) else "edge"] += 1
+            for eps in {abs(ext.max_val), abs(ext.min_val)} - {0}:
+                assert certify_open_box(CertRequest(d, box, eps)) == \
+                    reference_certificate(d, box, eps, ext), (d, box, eps)
+        assert min(seen.values()) > 150, seen
+
+
 class TestCertifyOpenBox:
     def test_zero(self):
         cert = certify_open_box(CertRequest(d=Poly2.zero(), box=UNIT, eps=1))
@@ -548,7 +618,7 @@ class TestSampleFalsify:
     def test_row_order(self):
         witness = sample_falsify(CertRequest(d=Poly2.const(4) - X * X, box=UNIT, eps=4), 10)
         assert witness is not None
-        assert (witness.x, witness.y) == (0, Fraction(-9, 10))
+        assert witness.witness == (0, Fraction(-9, 10))
         assert witness.value == 4
 
     def test_interior_grid_misses_boundary_growth(self):
@@ -563,7 +633,7 @@ class TestSampleFalsify:
             eps = Fraction(1, 3)
             witness = sample_falsify(CertRequest(d=d, box=Box(Fraction(3, 2), Fraction(2, 3)), eps=eps), 7)
             if witness is not None:
-                assert d.eval(witness.x, witness.y) == witness.value
+                assert d.eval(*witness.witness) == witness.value
                 assert abs(witness.value) >= eps
 
     def test_grid_validation(self):

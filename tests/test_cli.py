@@ -192,6 +192,12 @@ class TestExitCodes:
         status, out, err = run(capsys, "certify", "--a00", text)
         assert (status, out, err) == (65, "", f"bkfact: input error: --a00: {message}\n")
 
+    def test_constant_power_names_the_flag(self, capsys):
+        # 2^1024 has 1025 bits, so its 32nd power would print with 9,865 digits.
+        status, out, err = run(capsys, "certify", "--a00", "2^32^32^32")
+        assert (status, out, err) == (65, "", "bkfact: input error: --a00: constant power of "
+                                              "up to 32800 bits exceeds 14000 at position 8\n")
+
     def test_input_errors(self, capsys):
         # elliptic symbol: no rational characteristic roots
         assert run(capsys, "residual", "--a02", "1")[0] == 65

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bkfact import ExponentError, ParseError, Poly2, format_poly, parse_poly
-from bkfact.parsing import MAX_DEGREE
+from bkfact.parsing import MAX_DEGREE, MAX_POWER_BITS
 from helpers import rand_poly2, reference_parse_poly
 
 X = Poly2.var("x")
@@ -168,6 +168,26 @@ class TestDegreeCap:
     def test_zero_factor_has_no_degree(self):
         assert parse_poly(f"0*x^{MAX_DEGREE}*x^{MAX_DEGREE}") == Poly2.zero()
 
+    def test_nested_constant_powers(self):
+        assert parse_poly("2^32^32") == Poly2.const(2 ** 1024)
+        # 2^874 has 875 bits and 16*875 is the bound itself; the value prints.
+        assert 16 * 875 == MAX_POWER_BITS
+        assert str(parse_poly("2^2^19^23^16")) == str(2 ** 13984)
+        for text, position, bits in (("2^32^32^32", 8, 32 * 1025),
+                                     ("(1/3)^32^32^32", 12, 32 * 1624),
+                                     ("2^2^19^23^17", 10, 17 * 875)):
+            with pytest.raises(ExponentError) as info:
+                parse_poly(text)
+            assert str(info.value) == (f"constant power of up to {bits} bits exceeds "
+                                       f"{MAX_POWER_BITS} at position {position}")
+
+    def test_nested_constant_powers_rejected_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(ExponentError) as info:
+            parse_poly("2^32^32^32^32^32")
+        assert time.perf_counter() - start < 1
+        assert info.value.position == 8
+
 
 # Inputs of the oracle tests are strings over one alphabet: x y 0-9 + - * / ^
 # ( ) . space tab NBSP \x1c (both str.isspace), the Arabic-Indic digit three
@@ -180,6 +200,19 @@ PIECES = ["x", "y", "0", "1", "7", "12", "\u0663", "3/4", "2/0", "0.5", ".5", "1
 OPERANDS = ["x", "y", "7", "12", "\u0663", "3/4", "0.5", "(x + y)", "(1 - x*y)^2", "-x^3",
             "(x - 2/3*y)^4", "0", "2^5"]
 OPERATORS = [" + ", " - ", "*", "^2*", "^0 - ", " + -"]
+
+
+def _bounded_power(base: Poly2, exponent: int, position: int) -> None:
+    if base.degree == 0 and exponent > 1:
+        constant = base.coeff(0, 0)
+        bits = exponent * max(constant.numerator.bit_length(), constant.denominator.bit_length())
+        if bits > MAX_POWER_BITS:
+            raise ExponentError(f"constant power of up to {bits} bits exceeds {MAX_POWER_BITS}",
+                                position)
+
+
+def _bounded_reference(text, decimals):
+    return reference_parse_poly(text, decimals, power_check=_bounded_power)
 
 
 def _outcome(parse, text, decimals):
@@ -199,7 +232,11 @@ def assert_matches_reference(text, decimals):
     - an exponent over MAX_DEGREE is now rejected whatever its base.  The old
       parser computed such constant powers without bound, so once the new
       one rejects an exponent, it is replaced by a "0...01" of its length and
-      both are compared on the result.
+      both are compared on the result;
+    - a power of a constant p/q with exponent e > 1 is rejected when
+      e*max(bitlen p, bitlen q) exceeds MAX_POWER_BITS: the old parser is run
+      with _bounded_power checking its own constant at each power, so the
+      new error must come exactly where that constant exceeds the bound.
 
     Numbers over the int-conversion limit, the third changed class, are too
     long to arise here; TestParse.test_overlong_literal covers them.
@@ -211,7 +248,7 @@ def assert_matches_reference(text, decimals):
         assert int(digits) > MAX_DEGREE
         text = text[:position] + "0" * (len(digits) - 1) + "1" + text[position + len(digits):]
         got = _outcome(parse_poly, text, decimals)
-    expected = _outcome(reference_parse_poly, text.replace("\u00b2", "z"), decimals)
+    expected = _outcome(_bounded_reference, text.replace("\u00b2", "z"), decimals)
     if isinstance(expected, tuple):
         expected = (expected[0], expected[1].replace("'z'", "'\u00b2'"), expected[2])
     assert got == expected, text
@@ -242,6 +279,15 @@ class TestAgainstReference:
                     cut = rng.randint(0, len(text))
                     text = text[:cut] + rng.choice(PIECES) + text[cut:]
             assert_matches_reference(text, decimals)
+
+    @pytest.mark.parametrize("text", [
+        "2^32^32", "2^32^32^32", "(1/3)^32^32^32", "x*(2^32)^32^32 + y", "2^32^32^32^32^32",
+        "2^2^19^23^16 - x", "2^2^19^23^17", "(-3/2)^2^2^2^2^2^2^2^2^2^2^2^2^2*y",
+        "12^2^2^2^2^2^2^2^2^2^2^2 + 12^2^2^2^2^2^2^2^2^2^2^2^2", "0^32^32^32", "(x^0)^32^32^32^2",
+        "9" * 4250 + "^1",  # 14,118 bits, but a first power computes nothing
+    ])
+    def test_constant_power_bound(self, text):
+        assert_matches_reference(text, False)
 
     def test_round_trip_texts(self):
         rng = random.Random(9)
