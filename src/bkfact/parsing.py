@@ -26,9 +26,18 @@ exceed MAX_DEGREE, whatever its base.  The degree of a power is
 degree*exponent and that of a product the sum of the factors' degrees, so
 both are checked before anything is expanded: "(x + y)^200" and "2^200" fail
 at once with ExponentError, and a product over the cap with ParseError, each
-at the position of the offending "^" exponent or "*".  A power c^e of a
-constant c = p/q with e > 1 raises ExponentError at its exponent when
-e*max(bitlen p, bitlen q) exceeds MAX_POWER_BITS, before it is computed.
+at the position of the offending "^" exponent or "*".
+
+Coefficient sizes are bounded too, powers and products before computing.
+Written over the lcm D of its denominators, a polynomial is P/D with
+integer P.  A power with e > 1 raises ExponentError at its exponent when
+e*max(bitlen sum|P|, bitlen D) exceeds MAX_POWER_BITS (for a constant p/q,
+e*max(bitlen p, bitlen q)).  A product raises ParseError at its "*" when
+max(bitlen k + bitlen max|P| + bitlen max|Q|, bitlen D + bitlen E), with k
+the smaller term count, exceeds it, unless a factor is +-x^i*y^j.  A sum of
+like terms is cheap to compute, so it is checked after: a coefficient over
+MAX_POWER_BITS raises ParseError at its "+" or "-".  So every coefficient
+an operator creates prints under the 4300-digit limit.
 
 Decimal literals are rejected by default; passing decimals=True lexes
 finite decimals like "0.25" and converts them exactly (this backs the CLI's
@@ -39,13 +48,15 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 from .errors import ExponentError, ParseError
 from .poly import Poly2, Terms, _monomial_product
 
 MAX_DEGREE = 32
-# A power of a constant may have at most this many bits: at most 4,215 decimal
-# digits, so it prints under Python's default 4,300-digit int-string limit.
+# A power, product or sum may create coefficients of at most this many bits:
+# at most 4,215 decimal digits, so they print under Python's default
+# 4,300-digit int-string limit.
 MAX_POWER_BITS = 14_000
 
 _NUMBER = "number"
@@ -90,6 +101,58 @@ def _degree(terms: Terms) -> int:
     return max((i + j for i, j in terms), default=-1)
 
 
+def _coefficient_bits(terms: Terms) -> tuple[int, int, int]:
+    """Bit lengths that bound max|P|, sum|P| and D, where terms = P/D over
+    the lcm D of its denominators and P is integer.
+
+    D is computed while it has at most MAX_POWER_BITS bits (a single
+    denominator is taken whole); past that, the rest of the lcm is bounded
+    by the product of the remaining denominators, so an oversized input
+    costs at most one big-number step.
+    """
+    coeffs = list(terms.values())
+    common = 1
+    for index, coeff in enumerate(coeffs):
+        common = lcm(common, coeff.denominator)
+        if index and common.bit_length() > MAX_POWER_BITS:
+            den_bits = common.bit_length() + sum(c.denominator.bit_length()
+                                                 for c in coeffs[index + 1:])
+            num_bits = max(abs(c.numerator).bit_length() for c in coeffs) + den_bits
+            return num_bits, num_bits + len(coeffs).bit_length(), den_bits
+    numerators = [abs(c.numerator) * (common // c.denominator) for c in coeffs]
+    return (max(numerators).bit_length(), sum(numerators).bit_length(),
+            common.bit_length())
+
+
+def _product_bits(left: Terms, right: Terms) -> int:
+    """A bound on the bit length of every numerator and denominator of
+    left*right, both nonzero, computed before multiplying.
+
+    Over common denominators left = P/D and right = Q/E.  Each coefficient
+    of P*Q sums at most k = min(len(left), len(right)) products, so it is
+    below 2^(bitlen k + bitlen max|P| + bitlen max|Q|), and its denominator
+    divides D*E.
+    """
+    p_bits, _, d_bits = _coefficient_bits(left)
+    q_bits, _, e_bits = _coefficient_bits(right)
+    return max(min(len(left), len(right)).bit_length() + p_bits + q_bits, d_bits + e_bits)
+
+
+def _power_bits(base: Terms, exponent: int) -> int:
+    """A bound on the bit length of every numerator and denominator of
+    base^exponent: over the common denominator base = P/D, each coefficient
+    of P^e is at most (sum|P|)^e, over D^e.  For a constant p/q this is
+    e*max(bitlen p, bitlen q)."""
+    _, sum_bits, den_bits = _coefficient_bits(base)
+    return exponent * max(sum_bits, den_bits)
+
+
+def _is_unit_monomial(terms: Terms) -> bool:
+    # +-x^i*y^j: a product with it only moves and negates coefficients, and
+    # its powers are +-x^(e*i)*y^(e*j).
+    return len(terms) == 1 and next(iter(terms.values())) in (1, -1)
+
+
 def _mul(left: Terms, right: Terms) -> Terms:
     if len(left) == 1:
         return _monomial_product(right, left)
@@ -121,12 +184,17 @@ class _Parser:
         # Every parsed value is a new dict, so the sum accumulates in place.
         total = self.parse_term()
         while self.peek()[0] in ("+", "-"):
-            negate = self.advance()[0] == "-"
+            operator = self.advance()
+            negate = operator[0] == "-"
             for key, coeff in self.parse_term().items():
                 if negate:
                     coeff = -coeff
                 if key in total:
                     coeff += total[key]
+                    bits = max(coeff.numerator.bit_length(), coeff.denominator.bit_length())
+                    if bits > MAX_POWER_BITS:
+                        raise ParseError(f"sum of {bits} bits exceeds {MAX_POWER_BITS}",
+                                         operator[2])
                 if coeff:
                     total[key] = coeff
                 else:
@@ -142,6 +210,12 @@ class _Parser:
             if degree > MAX_DEGREE:
                 raise ParseError(f"product of total degree {degree} exceeds {MAX_DEGREE}",
                                  star[2])
+            if value and factor and not (_is_unit_monomial(factor)
+                                         or _is_unit_monomial(value)):
+                bits = _product_bits(value, factor)
+                if bits > MAX_POWER_BITS:
+                    raise ParseError(f"product of up to {bits} bits exceeds {MAX_POWER_BITS}",
+                                     star[2])
             value = _mul(value, factor)
         return value
 
@@ -163,13 +237,12 @@ class _Parser:
                                     position)
             if exponent > MAX_DEGREE:
                 raise ExponentError(f"exponent {exponent} exceeds {MAX_DEGREE}", position)
-            if _degree(value) == 0 and exponent > 1:
-                constant = value[(0, 0)]
-                bits = exponent * max(constant.numerator.bit_length(),
-                                      constant.denominator.bit_length())
+            if value and exponent > 1 and not _is_unit_monomial(value):
+                bits = _power_bits(value, exponent)
                 if bits > MAX_POWER_BITS:
-                    raise ExponentError(f"constant power of up to {bits} bits exceeds "
-                                        f"{MAX_POWER_BITS}", position)
+                    kind = "constant power" if _degree(value) == 0 else "power"
+                    raise ExponentError(f"{kind} of up to {bits} bits exceeds {MAX_POWER_BITS}",
+                                        position)
             value = (Poly2._of(value) ** exponent)._terms
         return value
 
@@ -221,10 +294,10 @@ def parse_poly(text: str, decimals: bool = False) -> Poly2:
     """Parse an expression into an exact Poly2.
 
     Raises ParseError (with position and the expected-token set) on
-    malformed input, on a number longer than the int-conversion limit and on
-    a product over MAX_DEGREE; ExponentError on a negative or fractional
-    exponent, on a power over MAX_DEGREE and on a constant power over
-    MAX_POWER_BITS.  Each literal becomes one Fraction, a sum accumulates in
+    malformed input, on a number longer than the int-conversion limit, on a
+    product over MAX_DEGREE or MAX_POWER_BITS and on a sum over
+    MAX_POWER_BITS; ExponentError on a negative or fractional exponent and
+    on a power over MAX_DEGREE or MAX_POWER_BITS.  Each literal becomes one Fraction, a sum accumulates in
     one dict, one-term factors multiply without building a Poly2, and only
     products of multi-term factors and powers go through Poly2.
     """

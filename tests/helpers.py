@@ -6,6 +6,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Optional
 
 from bkfact import (
@@ -20,7 +21,7 @@ from bkfact import (
 )
 from bkfact.errors import ExponentError, ParseError
 from bkfact.parsing import MAX_DEGREE
-from bkfact.poly import bernstein_on_rect
+from bkfact.poly import Scalar, bernstein_on_rect
 
 Point = tuple[Fraction, Fraction]
 
@@ -326,6 +327,48 @@ def reference_grid_witness(d: Poly2, box: Box, eps: Fraction, grid_k: int):
             if abs(value) >= eps:
                 return Violated(witness=(x, y), value=value)
     return None
+
+
+# The power-to-Bernstein conversion as it was (O(dx^2*dy^2) per rectangle),
+# kept as the oracle of bkfact.poly._bernstein_coefficients.
+def reference_bernstein_coefficients(p: Poly2, xlo: Scalar, xhi: Scalar, ylo: Scalar,
+                                     yhi: Scalar) -> list[list[Fraction]]:
+    """Tensor-product Bernstein coefficients b[r][s] of p on the closed
+    rectangle [xlo, xhi] x [ylo, yhi], 0 <= r <= x-degree, 0 <= s <= y-degree.
+
+    The rectangle is mapped affinely onto the unit square (x = xlo + wx*u,
+    y = ylo + wy*v), so that p = sum of b[r][s]*B_r(u)*B_s(v) with the
+    Bernstein basis polynomials B_k(t) = comb(d, k)*t^k*(1 - t)^(d - k).
+    """
+    if p.is_zero:
+        return [[Fraction(0)]]
+    x0 = as_fraction(xlo)
+    y0 = as_fraction(ylo)
+    wx = as_fraction(xhi) - x0
+    wy = as_fraction(yhi) - y0
+    if wx <= 0 or wy <= 0:
+        raise ValueError("rectangle sides must have positive length")
+    dx = max(p.x_degree, 0)
+    dy = max(p.y_degree, 0)
+
+    # Power coefficients of p(x0 + wx*u, y0 + wy*v) on the unit square.
+    power = [[Fraction(0)] * (dy + 1) for _ in range(dx + 1)]
+    for (i, j), c in p.terms():
+        for k in range(i + 1):
+            xpart = c * comb(i, k) * x0 ** (i - k) * wx ** k
+            for l in range(j + 1):
+                power[k][l] += xpart * comb(j, l) * y0 ** (j - l) * wy ** l
+
+    coeffs = [[Fraction(0)] * (dy + 1) for _ in range(dx + 1)]
+    for r in range(dx + 1):
+        for s in range(dy + 1):
+            b = Fraction(0)
+            for k in range(r + 1):
+                ratio_x = Fraction(comb(r, k), comb(dx, k))
+                for l in range(s + 1):
+                    b += ratio_x * Fraction(comb(s, l), comb(dy, l)) * power[k][l]
+            coeffs[r][s] = b
+    return coeffs
 
 
 def reference_bernstein_certify(request: CertRequest):

@@ -198,6 +198,20 @@ class TestExitCodes:
         assert (status, out, err) == (65, "", "bkfact: input error: --a00: constant power of "
                                               "up to 32800 bits exceeds 14000 at position 8\n")
 
+    @pytest.mark.parametrize("args, message", [
+        (("certify", "--a00", "9" * 3000 + "*" + "9" * 3000),
+         "--a00: product of up to 19933 bits exceeds 14000 at position 3000"),
+        (("residual", "--a10", "(x+2^32^30)^32"),
+         "--a10: power of up to 30752 bits exceeds 14000 at position 12"),
+        (("certify", "--a00", "*".join(["2^32^32"] * 15)),
+         "--a00: product of up to 14339 bits exceeds 14000 at position 103"),
+        (("certify", "--a01", "1/" + "7" * 4000 + " + 1/" + "3" * 3999 + "1"),
+         "--a01: sum of 26574 bits exceeds 14000 at position 4003"),
+    ])
+    def test_long_coefficients_name_the_flag(self, capsys, args, message):
+        status, out, err = run(capsys, *args)
+        assert (status, out, err) == (65, "", f"bkfact: input error: {message}\n")
+
     def test_input_errors(self, capsys):
         # elliptic symbol: no rational characteristic roots
         assert run(capsys, "residual", "--a02", "1")[0] == 65

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bkfact import ExponentError, ParseError, Poly2, format_poly, parse_poly
+from bkfact import ExponentError, ParseError, Poly2, format_poly, parse_poly, parsing
 from bkfact.parsing import MAX_DEGREE, MAX_POWER_BITS
 from helpers import rand_poly2, reference_parse_poly
 
@@ -187,6 +187,79 @@ class TestDegreeCap:
             parse_poly("2^32^32^32^32^32")
         assert time.perf_counter() - start < 1
         assert info.value.position == 8
+
+
+
+NINES = "9" * 3000  # 9,966 bits
+
+
+def _max_bits(p: Poly2) -> int:
+    return max((max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+                for _, c in p.terms()), default=0)
+
+
+class TestCoefficientBound:
+    @pytest.mark.parametrize("text, message", [
+        (f"{NINES}*{NINES}", "product of up to 19933 bits exceeds 14000 at position 3000"),
+        (f"x + ({NINES}*x + 1)*({NINES} - y)",
+         "product of up to 19934 bits exceeds 14000 at position 3012"),
+        ("(x+2^32^30)^32", "power of up to 30752 bits exceeds 14000 at position 12"),
+        (f"(1/{NINES}*x - y)^2", "power of up to 19932 bits exceeds 14000 at position 3011"),
+        (f"1/{NINES} - x + 1/{NINES[1:]}8", "sum of 19932 bits exceeds 14000 at position 3007"),
+        (f"{2 ** 13999}*x + {2 ** 13999}*x", "sum of 14001 bits exceeds 14000 at position 4218"),
+    ], ids=["constants", "sums", "power", "rational power", "like terms", "doubled"])
+    def test_rejected_at_the_operator(self, text, message):
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as info:
+            parse_poly(text)
+        assert time.perf_counter() - start < 1
+        assert str(info.value) == message
+        assert type(info.value) is (ExponentError if "power" in message else ParseError)
+
+    def test_under_the_bound(self):
+        # (x + y + 1)^31 has coefficients below 3^31 < 2^50.
+        p = parse_poly(f"(x + y + 1)^31*{2 ** 13000}")
+        assert p.coeff(0, 0) == 2 ** 13000 and p.degree == 31
+
+    def test_long_literal_times_monomial(self):
+        literal = int("7" * 4250)  # 14,116 bits, over the bound itself
+        for text, p in ((f"{literal}*x", Poly2.monomial(1, 0, literal)),
+                        (f"x^2*{literal}*y", Poly2.monomial(2, 1, literal)),
+                        (f"-{literal}*x*y^3 + 1/{literal}*(-y)", Poly2({(1, 3): -literal,
+                                                                        (0, 1): Fraction(-1, literal)}))):
+            assert parse_poly(text) == p
+            assert parse_poly(format_poly(p)) == p
+        with pytest.raises(ParseError):
+            parse_poly(f"{literal}*2")
+        with pytest.raises(ParseError):
+            parse_poly(f"{literal}*x + x")
+
+    def test_degree_32_round_trip(self):
+        p = parse_poly("(x + 1/3*y - 2/7)^32*(1/5*x - 7/3)^0")
+        assert p.degree == 32 and parse_poly(format_poly(p)) == p
+
+    def test_bounds_hold(self):
+        rng = random.Random(11)
+        big = [2 ** 7001 - 1, 3 ** 4500, 5 ** 10, 1]  # the first two: lcm over the bound
+        for _ in range(300):
+            left, right = (Poly2({(rng.randint(0, 3), rng.randint(0, 3)):
+                                  Fraction(rng.choice(big) * rng.randint(-9, 9) or 1,
+                                           rng.choice(big) * rng.randint(1, 9))
+                                  for _ in range(rng.randint(1, 4))}) for _ in range(2))
+            assert _max_bits(left * right) <= parsing._product_bits(left._terms, right._terms)
+            exponent = rng.randint(2, 3)
+            assert _max_bits(left ** exponent) <= parsing._power_bits(left._terms, exponent)
+        for _ in range(100):  # unit-size coefficients: powers grow by their sums
+            base, exponent = rand_poly2(rng, 3, 1, 1), rng.randint(2, 6)
+            if not base.is_zero:
+                assert _max_bits(base ** exponent) <= parsing._power_bits(base._terms, exponent)
+        # Three coprime denominators whose lcm is over the bound after two:
+        # the x^2 coefficient of the product is over all three.
+        a, b, c = 2 ** 7001 - 1, 3 ** 4500, 5 ** 3000
+        left = Poly2({(0, 0): Fraction(1, a), (1, 0): Fraction(1, b), (2, 0): Fraction(1, c)})
+        right = parse_poly("1 + x + x^2")
+        assert (left * right).coeff(2, 0).denominator == a * b * c
+        assert _max_bits(left * right) <= parsing._product_bits(left._terms, right._terms)
 
 
 # Inputs of the oracle tests are strings over one alphabet: x y 0-9 + - * / ^

@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bkfact import Box, Poly2, RangeEnclosure, char_diff, format_poly
-from bkfact.poly import bernstein_on_rect
-from helpers import Poly1, rand_frac, rand_point_in_box, rand_poly2, restrict
+from bkfact import Box, Poly2, RangeEnclosure, char_diff, format_poly, parse_poly
+from bkfact.poly import _bernstein_coefficients, bernstein_on_rect
+from helpers import (Poly1, rand_frac, rand_nonzero_frac, rand_point_in_box, rand_poly2,
+                     reference_bernstein_coefficients, restrict)
 
 X = Poly2.var("x")
 Y = Poly2.var("y")
@@ -202,6 +203,81 @@ class TestBernstein:
             assert enc.lo == min(corners)
             assert enc.hi == max(corners)
 
+
+
+def _shaped_poly(rng: random.Random, shape: str, dx: int, dy: int) -> Poly2:
+    if shape == "zero":
+        return Poly2.zero()
+    if shape == "constant":
+        return Poly2.const(rand_nonzero_frac(rng))
+    if shape == "x-only":
+        dy = 0
+    elif shape == "y-only":
+        dx = 0
+    if shape == "sparse":
+        cells = [(i, j) for i in range(dx + 1) for j in range(dy + 1)]
+        picked = rng.sample(cells, min(len(cells), rng.randint(1, 4)))
+        return Poly2({cell: rand_nonzero_frac(rng) for cell in picked})
+    if shape == "separable":
+        terms = {(i, 0): rand_nonzero_frac(rng) for i in range(dx + 1)}
+        terms.update({(0, j): rand_nonzero_frac(rng) for j in range(1, dy + 1)})
+        return Poly2(terms)
+    # dense, x-only and y-only: every monomial of the grid
+    return Poly2({(i, j): rand_nonzero_frac(rng) for i in range(dx + 1) for j in range(dy + 1)})
+
+
+def _random_rectangle(rng: random.Random) -> tuple[Fraction, ...]:
+    xlo, ylo = rand_frac(rng), rand_frac(rng)
+    return (xlo, xlo + abs(rand_nonzero_frac(rng)), ylo, ylo + abs(rand_nonzero_frac(rng)))
+
+
+def _dyadic_rectangle(rng: random.Random) -> tuple[Fraction, ...]:
+    # A subrectangle bernstein_certify can visit: the box (-m, m) x (-n, n)
+    # halved kx times along x and ky times along y.
+    sides = []
+    for half in (abs(rand_nonzero_frac(rng)), abs(rand_nonzero_frac(rng))):
+        splits = rng.randint(0, 6)
+        width = 2 * half / 2 ** splits
+        lo = -half + width * rng.randrange(2 ** splits)
+        sides += [lo, lo + width]
+    return tuple(sides)
+
+
+def assert_matches_reference(p: Poly2, rect: tuple[Fraction, ...]) -> None:
+    got = _bernstein_coefficients(p, *rect)
+    assert got == reference_bernstein_coefficients(p, *rect), (p, rect)
+    assert len(got) == max(p.x_degree, 0) + 1
+    assert all(len(row) == max(p.y_degree, 0) + 1 for row in got)
+    assert all(type(b) is Fraction for row in got for b in row), (p, rect)
+
+
+class TestBernsteinAgainstReference:
+    """_bernstein_coefficients against the direct O(dx^2*dy^2) conversion."""
+
+    SHAPES = ("dense", "sparse", "separable", "x-only", "y-only", "constant", "zero")
+
+    def test_seeded(self):
+        rng = random.Random(10)
+        for index in range(2100):
+            shape = self.SHAPES[index % len(self.SHAPES)]
+            p = _shaped_poly(rng, shape, rng.randint(0, 8), rng.randint(0, 8))
+            rect = _dyadic_rectangle(rng) if index % 2 else _random_rectangle(rng)
+            assert_matches_reference(p, rect)
+
+    @pytest.mark.parametrize("text, rect", [
+        ("(x + 1/3*y - 2/7)^16", (-1, 1, -1, 1)),
+        ("(x + 1/3*y - 2/7)^16", (Fraction(-3, 2), Fraction(-3, 4), 0, Fraction(1, 3))),
+        ("(3/2*x*y - x + 5/4*y^2 - 1)^8", (Fraction(-5, 7), Fraction(5, 7), Fraction(-2, 3),
+                                          Fraction(2, 3))),
+        ("(x + 1/3*y - 2/7)^32", (Fraction(3, 8), Fraction(3, 4), Fraction(-2, 3), 0)),
+    ])
+    def test_high_degree(self, text, rect):
+        assert_matches_reference(parse_poly(text), rect)
+
+    def test_rejects_empty_sides(self):
+        for rect in ((1, 1, 0, 1), (0, 1, 2, 1)):
+            with pytest.raises(ValueError):
+                _bernstein_coefficients(X * Y, *rect)
 
 class TestDisplay:
     def test_zero(self):

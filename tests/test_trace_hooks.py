@@ -5,17 +5,26 @@ per-layer count it reports must still see the calls it is named after."""
 import importlib.util
 import json
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
-from bkfact import Box, cli, lpdo, parsing, report
+import pytest
+
+import helpers
+from bkfact import Box, CertRequest, certify, cli, lpdo, parsing, report
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 
-def test_every_patched_attribute_exists():
+def _load_spans():
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_patched_attribute_exists():
+    spans = _load_spans()
     patches = spans.Tracer()._patches()
     assert patches
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
@@ -31,9 +40,7 @@ def _report(a00: str, eps, depth: int, grid: int):
 
 
 def test_traced_counts_see_every_layer(tmp_path, capsys):
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _load_spans()
     batch = tmp_path / "batch.txt"
     batch.write_text("--a00=x^2+1/2*y --eps=2\n--a00=4-x^2-y^2 --eps=4\n", encoding="utf-8")
     with spans.Tracer() as tracer:
@@ -59,3 +66,28 @@ def test_traced_counts_see_every_layer(tmp_path, capsys):
                 for kind in ("inside", "violated", "unknown")}
     assert verdicts == {"inside": kinds["inside"], "violated": kinds["violated"] - hits,
                         "unknown": kinds["unknown"] + hits}
+
+
+@pytest.mark.parametrize("a00, eps, depth, kind", [
+    ("x^4 - 1/4*(y - 1/3)^2", Fraction(11, 10), 12, "inside"),
+    ("x^4 + y^4 - 1/3*x*y", Fraction(3, 2), 8, "violated"),
+    ("x^4 - 1/4*(y - 1/3)^2", Fraction(1), 6, "unknown"),  # depth budget runs out
+])
+def test_one_enclosure_per_node(monkeypatch, a00, eps, depth, kind):
+    """The traced poly.enclosures counts certify.bernstein_on_rect calls, so
+    bernstein_certify must make exactly one per node it visits."""
+    request = CertRequest(parsing.parse_poly(a00), Box(1, 1), eps, depth)
+    original, nodes = helpers.bernstein_on_rect, []
+
+    def counted(*args):
+        nodes.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(helpers, "bernstein_on_rect", counted)
+    expected = helpers.reference_bernstein_certify(request)
+    monkeypatch.undo()
+    with _load_spans().Tracer() as tracer:
+        got = certify.bernstein_certify(request)
+    assert got == expected and got.kind == kind
+    assert len(nodes) > 1
+    assert tracer.layer_metrics()["poly.enclosures"] == len(nodes)
