@@ -1,9 +1,9 @@
 """Exact factorization residuals and open-box certification for second-order
 bivariate linear partial differential operators with polynomial coefficients.
 
-The package decides exact factorizability (a00 equals the residual R built
-along a characteristic root), and certifies approximate factorizability
-(|a00 - R| < eps on an open rectangle) with exact rational arithmetic:
+The package decides the residual condition a00 = R along a characteristic
+root (not the same predicate as factoring; see bkfact.lpdo), and certifies
+|a00 - R| < eps on an open rectangle with exact rational arithmetic:
 closed-form quantifier-free criteria for the affine case, exact quadratic
 extrema, and Bernstein subdivision for higher degree.
 """
@@ -36,7 +36,6 @@ from .errors import (
     DegreeTooHighError,
     ExponentError,
     NoRationalRootsError,
-    NotSecondOrderError,
     NotSimpleRootError,
     ParseError,
     PreconditionViolatedError,
@@ -73,6 +72,6 @@ from .poly import (
     char_diff,
     format_poly,
 )
-from .report import Report, RootReport, approx_factor_report, reduced_problem
+from .report import Report, RootReport, approx_factor_report
 
 __version__ = "0.1.0"

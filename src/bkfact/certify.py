@@ -397,17 +397,12 @@ def _inward_witness(d: Poly2, boundary_point: Point, eps: Fraction, sign: int
     terminates with an exactly verified interior witness.
     """
     bx, by = boundary_point
-    # d(s*bx, s*by) = qa*s^2 + qb*s + qc along the ray; total degree <= 2.
-    qa = d.coeff(2, 0) * bx * bx + d.coeff(1, 1) * bx * by + d.coeff(0, 2) * by * by
-    qb = d.coeff(1, 0) * bx + d.coeff(0, 1) * by
-    qc = d.coeff(0, 0)
     s = Fraction(1, 2)  # the factor 1 - t for t = 1/2, 1/4, 1/8, ...
     while True:
-        if sign * ((qa * s + qb) * s + qc) >= eps:
-            candidate = (s * bx, s * by)
-            value = d.eval(*candidate)
-            if sign * value >= eps:
-                return candidate, value
+        candidate = (s * bx, s * by)
+        value = d.eval(*candidate)
+        if sign * value >= eps:
+            return candidate, value
         s = (1 + s) / 2
 
 

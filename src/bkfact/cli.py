@@ -5,13 +5,14 @@ default; --format json emits canonical JSON (sorted keys, rationals as exact
 strings) that is byte-identical across runs on identical inputs.
 
 Exit status: 0 certified/true, 1 violated/false, 2 unknown, 64 usage error,
-65 input or parse error.
+65 input or parse error, 74 stdout closed before all output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import shlex
 import sys
@@ -45,6 +46,7 @@ EX_VIOLATED = 1
 EX_UNKNOWN = 2
 EX_USAGE = 64
 EX_DATA = 65
+EX_IOERR = 74
 _CERTIFICATE_STATUS = {"inside": EX_OK, "violated": EX_VIOLATED, "unknown": EX_UNKNOWN}
 # Largest --depth and --grid accepted: subdivision visits up to 2^(depth+1) - 1
 # rectangles and the falsifier (2*grid - 1)^2 points.
@@ -338,8 +340,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(list(argv))
         if getattr(args, "input", None) is not None:
-            return _run_batch(parser, argv, args.input, out)
-        return _HANDLERS[args.command](args, out)
+            status = _run_batch(parser, argv, args.input, out)
+        else:
+            status = _HANDLERS[args.command](args, out)
+        out.flush()  # so that a failure to write the tail is caught here too
+        return status
+    except BrokenPipeError:
+        # The reader is gone (e.g. "| head -n 1").  Point stdout at devnull so
+        # that the interpreter's flush at exit has nowhere to fail.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), out.fileno())
+        return EX_IOERR
     except UsageError as exc:
         print(f"bkfact: usage error: {exc}", file=err)
         return EX_USAGE

@@ -27,10 +27,6 @@ class DegreeTooHighError(BkfactError):
     requested operation."""
 
 
-class NotSecondOrderError(BkfactError):
-    """Composition of first-order factors produced no second-order part."""
-
-
 class PreconditionViolatedError(BkfactError):
     """A quantifier-free criterion was evaluated outside the sign
     assumptions under which it is valid."""

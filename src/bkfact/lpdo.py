@@ -6,11 +6,16 @@ An operator
     a20*Dxx + a11*Dxy + a02*Dyy + a10(x,y)*Dx + a01(x,y)*Dy + a00(x,y)
 
 with constant rational principal symbol and polynomial lower-order
-coefficients admits a factorization into first-order operators exactly when
-a00 equals a residual polynomial R built from a10 and a01 along a simple
-rational root omega of the characteristic polynomial
+coefficients has a residual polynomial R, built from a10 and a01 along a
+simple rational root omega of the characteristic polynomial
 
     P2(z) = a20*z^2 + a11*z + a02.
+
+This module decides the residual condition a00 = R.  It is not the same
+predicate as factoring into first-order operators: TestReconstruction::
+test_residual_truth_and_composition_truth_diverge in tests/test_lpdo.py
+pins a counterexample each way (ROADMAP.md, "The BK factorization condition
+by construction").
 
 With k = 2*a20*omega + a11 (nonzero for a simple root) the residual is
 
@@ -45,7 +50,6 @@ from typing import Optional
 from .errors import (
     DegreeTooHighError,
     NoRationalRootsError,
-    NotSecondOrderError,
     NotSimpleRootError,
     ZeroLeadingError,
 )
@@ -160,10 +164,10 @@ def characteristic_roots(symbol: PrincipalSymbol) -> tuple[CharRoot, CharRoot]:
 def residual(op: LPDO2, root: CharRoot) -> ResidualTrace:
     """Factorization residual of op along a simple characteristic root.
 
-    Requires root.simple; the exact-factorizability condition is that
-    op.a00 equals the returned trace's r.  The drift term is differentiated
-    along the direction of the largest root of the symbol (see the module
-    docstring), which for the canonical symbol is Dx - Dy for both roots.
+    Requires root.simple; the residual condition is that op.a00 equals the
+    returned trace's r.  The drift term is differentiated along the direction
+    of the largest root of the symbol (see the module docstring), which for
+    the canonical symbol is Dx - Dy for both roots.
     """
     if op.symbol.char_value(root.omega) != 0:
         raise ValueError(f"{root.omega} is not a root of the principal symbol")
@@ -205,9 +209,9 @@ _SLOTS = {1: (0, 0), 2: (0, 1), 3: (1, 0), 4: (0, 2), 5: (1, 1), 6: (2, 0)}
 
 @dataclass(frozen=True)
 class ReducedCoeffs:
-    """Componentwise combination s_i = c_i + sign*d_i of the coefficients of
-    a10 (the c's) and a01 (the d's); sign matches the root omega = +/-1.
-    Degree-1 inputs leave s4..s6 zero."""
+    """Componentwise combination s_i = c_i + omega*d_i of the coefficients of
+    a10 (the c's) and a01 (the d's) along the root omega = +/-1.  Degree-1
+    inputs leave s4..s6 zero."""
 
     s1: Fraction
     s2: Fraction
@@ -215,7 +219,6 @@ class ReducedCoeffs:
     s4: Fraction
     s5: Fraction
     s6: Fraction
-    sign: int
     degree: int
 
 
@@ -233,7 +236,7 @@ def reduced_coeffs(a10: Poly2, a01: Poly2, sign: int) -> ReducedCoeffs:
     values = {idx: combined.coeff(*slot) for idx, slot in _SLOTS.items()}
     degree = 2 if max(a10.degree, a01.degree) == 2 else 1
     return ReducedCoeffs(values[1], values[2], values[3], values[4], values[5],
-                         values[6], sign=sign, degree=degree)
+                         values[6], degree=degree)
 
 
 def residual_closed_deg1(rc: ReducedCoeffs) -> Poly2:
@@ -255,15 +258,10 @@ def residual_closed_deg2(rc: ReducedCoeffs) -> Poly2:
     return drift / 2 + quad * quad / 4
 
 
-def affine_reduction(op: LPDO2, root: CharRoot, name: str, canonical_rule: str
-                     ) -> tuple[Fraction, Fraction, Fraction, ReducedCoeffs]:
+def affine_reduction(op: LPDO2,
+                     root: CharRoot) -> tuple[Fraction, Fraction, Fraction, ReducedCoeffs]:
     """(b1, b2, b3, rc) with a00 = b3*x + b2*y + b1 and rc the reduced
-    coefficients along root; raises ValueError off the canonical symbol and
-    DegreeTooHighError above degree 1, naming the caller's quantity."""
-    if not op.symbol.is_canonical:
-        raise ValueError(f"{name} {canonical_rule} the canonical symbol")
-    if op.a10.degree > 1 or op.a01.degree > 1 or op.a00.degree > 1:
-        raise DegreeTooHighError(f"{name} needs affine coefficients")
+    coefficients along root, for a canonical op with affine coefficients."""
     a00 = op.a00
     return (a00.coeff(0, 0), a00.coeff(0, 1), a00.coeff(1, 0),
             reduced_coeffs(op.a10, op.a01, int(root.omega)))
@@ -273,8 +271,8 @@ def exactness_system_deg1(op: LPDO2, root: CharRoot) -> tuple[tuple[Fraction, ..
     """Residuals of the coefficient-matching system for affine coefficients.
 
     Matching the closed-form residual against a00 = b3*x + b2*y + b1 monomial
-    by monomial gives six quantities that all vanish iff the operator is
-    exactly factorizable along the root:
+    by monomial gives six quantities that all vanish iff a00 = R along the
+    root (the residual condition, see the module docstring):
 
         s3^2,  2*s3*s2,  s2^2,  s3*s1 - 2*b3,  s2*s1 - 2*b2,
         s1^2 + 2*(s3 - s2) - 4*b1.
@@ -283,7 +281,11 @@ def exactness_system_deg1(op: LPDO2, root: CharRoot) -> tuple[tuple[Fraction, ..
     the verdict) are returned because their magnitudes are useful as
     approximate-factorization diagnostics.
     """
-    b1, b2, b3, rc = affine_reduction(op, root, "exactness system", "is defined for")
+    if not op.symbol.is_canonical:
+        raise ValueError("exactness system is defined for the canonical symbol")
+    if op.a10.degree > 1 or op.a01.degree > 1 or op.a00.degree > 1:
+        raise DegreeTooHighError("exactness system needs affine coefficients")
+    b1, b2, b3, rc = affine_reduction(op, root)
     values = (
         rc.s3 * rc.s3,
         2 * rc.s3 * rc.s2,
@@ -297,8 +299,9 @@ def exactness_system_deg1(op: LPDO2, root: CharRoot) -> tuple[tuple[Fraction, ..
 
 def family_deg1(c3: Scalar, c2: Scalar, c1: Scalar, d1: Scalar,
                 omega: "Scalar | CharRoot") -> LPDO2:
-    """The full family of exactly factorizable canonical operators with
-    affine coefficients, for the chosen root (a CharRoot or a bare +/-1).
+    """The full family of canonical operators with affine coefficients that
+    satisfy a00 = R (which need not factor; see the module docstring) along
+    the chosen root (a CharRoot or a bare +/-1).
 
     For omega = -1:  a10 = c3*x + c2*y + c1, a01 = c3*x + c2*y + d1,
     a00 = (c1 - d1)^2 / 4.  For omega = +1 the mirrored family uses
@@ -359,17 +362,11 @@ def compose_first_order(f: FirstOrderFactor, g: FirstOrderFactor) -> LPDO2:
         a01 = py*q0 + p0*qy,
         a00 = px*dq0/dx + py*dq0/dy + p0*q0.
     """
-    a20 = f.px * g.px
-    a11 = f.px * g.py + f.py * g.px
-    a02 = f.py * g.py
-    if a20 == 0 and a11 == 0 and a02 == 0:
-        # Unreachable for factors with nonzero direction vectors, but the
-        # degenerate composition would not be second order.
-        raise NotSecondOrderError("composition has no second-order part")
+    symbol = PrincipalSymbol(f.px * g.px, f.px * g.py + f.py * g.px, f.py * g.py)
     a10 = f.px * g.p0 + f.p0 * g.px
     a01 = f.py * g.p0 + f.p0 * g.py
     a00 = f.px * g.p0.diff("x") + f.py * g.p0.diff("y") + f.p0 * g.p0
-    return LPDO2(PrincipalSymbol(a20, a11, a02), a10, a01, a00)
+    return LPDO2(symbol, a10, a01, a00)
 
 
 def apply_operator(op: LPDO2, u: Poly2) -> Poly2:

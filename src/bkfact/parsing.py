@@ -51,7 +51,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import ExponentError, ParseError
-from .poly import Poly2, Terms, _monomial_product
+from .poly import Poly2, Terms
 
 MAX_DEGREE = 32
 # A power, product or sum may create coefficients of at most this many bits:
@@ -153,14 +153,6 @@ def _is_unit_monomial(terms: Terms) -> bool:
     return len(terms) == 1 and next(iter(terms.values())) in (1, -1)
 
 
-def _mul(left: Terms, right: Terms) -> Terms:
-    if len(left) == 1:
-        return _monomial_product(right, left)
-    if len(right) == 1:
-        return _monomial_product(left, right)
-    return (Poly2._of(left) * Poly2._of(right))._terms
-
-
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
@@ -216,7 +208,7 @@ class _Parser:
                 if bits > MAX_POWER_BITS:
                     raise ParseError(f"product of up to {bits} bits exceeds {MAX_POWER_BITS}",
                                      star[2])
-            value = _mul(value, factor)
+            value = (Poly2._of(value) * Poly2._of(factor))._terms
         return value
 
     def parse_factor(self) -> Terms:
@@ -297,9 +289,9 @@ def parse_poly(text: str, decimals: bool = False) -> Poly2:
     malformed input, on a number longer than the int-conversion limit, on a
     product over MAX_DEGREE or MAX_POWER_BITS and on a sum over
     MAX_POWER_BITS; ExponentError on a negative or fractional exponent and
-    on a power over MAX_DEGREE or MAX_POWER_BITS.  Each literal becomes one Fraction, a sum accumulates in
-    one dict, one-term factors multiply without building a Poly2, and only
-    products of multi-term factors and powers go through Poly2.
+    on a power over MAX_DEGREE or MAX_POWER_BITS.  Each literal becomes one
+    Fraction, a sum accumulates in one dict, and products and powers go
+    through Poly2.
     """
     parser = _Parser(_tokenize(text, decimals))
     result = parser.parse_expr()

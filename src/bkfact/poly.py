@@ -41,12 +41,6 @@ def _term_sort_key(item: tuple[tuple[int, int], Fraction]) -> tuple[int, int]:
     return (-(i + j), -i)
 
 
-def _monomial_product(many: Terms, single: Terms) -> Terms:
-    # A one-term factor gives distinct, nonzero product terms.
-    ((i2, j2), c2), = single.items()
-    return {(i1 + i2, j1 + j2): c1 * c2 for (i1, j1), c1 in many.items()}
-
-
 class Poly2:
     """Sparse exact polynomial in the two variables x and y."""
 
@@ -156,7 +150,10 @@ class Poly2:
         if isinstance(other, Poly2):
             many, single = (other, self) if len(self._terms) == 1 else (self, other)
             if len(single._terms) == 1:
-                return Poly2._of(_monomial_product(many._terms, single._terms))
+                # A one-term factor gives distinct, nonzero product terms.
+                ((i2, j2), c2), = single._terms.items()
+                return Poly2._of({(i1 + i2, j1 + j2): c1 * c2
+                                  for (i1, j1), c1 in many._terms.items()})
             out: dict[tuple[int, int], Fraction] = {}
             for (i1, j1), c1 in self._terms.items():
                 for (i2, j2), c2 in other._terms.items():

@@ -31,13 +31,6 @@ from .lpdo import LPDO2, CharRoot, affine_reduction, characteristic_roots, resid
 from .poly import Box, Poly2, Scalar, as_fraction, format_poly
 
 
-def reduced_problem(op: LPDO2, root: CharRoot) -> ReducedProblem:
-    """Collapse a canonical operator with affine coefficients into the six
-    free variables of the box problem (b's from a00, s's from a10, a01)."""
-    b1, b2, b3, rc = affine_reduction(op, root, "reduced problem", "requires")
-    return ReducedProblem(b1=b1, b2=b2, b3=b3, s1=rc.s1, s2=rc.s2, s3=rc.s3)
-
-
 @dataclass(frozen=True)
 class RootReport:
     """Certification outcome for one characteristic root."""
@@ -128,7 +121,10 @@ def sufficient_conditions(op: LPDO2, root: CharRoot, difference: Poly2, box: Box
     applicable = (op.symbol.is_canonical
                   and eps == 1 and box.m == 1 and box.n == 1
                   and op.a10.degree <= 1 and op.a01.degree <= 1 and op.a00.degree <= 1)
-    theorem1 = lifted_sufficient(reduced_problem(op, root)) if applicable else None
+    theorem1 = None
+    if applicable:
+        b1, b2, b3, rc = affine_reduction(op, root)
+        theorem1 = lifted_sufficient(ReducedProblem(b1, b2, b3, rc.s1, rc.s2, rc.s3))
     return theorem1, triangle_sufficient(difference, box, eps)
 
 

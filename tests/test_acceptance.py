@@ -63,7 +63,7 @@ def exact_unit(q: UnivQuad) -> bool:
 
 def closed_deg1_from_values(s1, s2, s3) -> Poly2:
     rc = ReducedCoeffs(Fraction(s1), Fraction(s2), Fraction(s3),
-                       Fraction(0), Fraction(0), Fraction(0), sign=1, degree=1)
+                       Fraction(0), Fraction(0), Fraction(0), degree=1)
     return residual_closed_deg1(rc)
 
 

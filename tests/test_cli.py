@@ -1,13 +1,17 @@
 """CLI behavior: golden outputs, JSON schema and determinism, exit codes."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from jsonschema import validate
 
+import bkfact
 from bkfact.cli import MAX_DEPTH, MAX_GRID, _split, main
 from bkfact.parsing import MAX_DEGREE
 
@@ -376,6 +380,21 @@ class TestBatch:
         assert status == 65
         assert err == ("bkfact: input error: batch line 1: "
                        "exactness system is defined for the canonical symbol\n")
+
+    def test_closed_stdout_exits_74_quietly(self, tmp_path):
+        # A reader that stops early ("| head -n 1") closes the pipe while the
+        # batch still writes: ~440 KB of output, far above a pipe's buffer.
+        batch = tmp_path / "batch.txt"
+        batch.write_text("--a00 x^3\n" * 2000)
+        env = dict(os.environ, PYTHONPATH=str(Path(bkfact.__file__).resolve().parent.parent))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bkfact.cli", "certify", "--input", str(batch)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"parameters: eps = 1, m = 1, n = 1\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (74, b"")
 
 
 SPLIT_LINES = [

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bkfact import (
     CANONICAL_SYMBOL,
@@ -292,6 +293,13 @@ class TestExactness:
                     assert residual(op, root).r.degree <= 2 * n
 
 
+# Direction vectors of first-order factors: nonzero, often with a zero
+# component, so that the symbol's vanishing cases are all near at hand.
+_COMPONENT = st.one_of(st.just(Fraction(0)),
+                       st.fractions(min_value=-3, max_value=3, max_denominator=4))
+_DIRECTION = st.tuples(_COMPONENT, _COMPONENT).filter(lambda d: d != (0, 0))
+
+
 class TestComposition:
     def test_wave_split(self):
         op = compose_first_order(FirstOrderFactor(1, 1, Poly2.zero()),
@@ -329,6 +337,14 @@ class TestComposition:
     def test_factor_needs_direction(self):
         with pytest.raises(ValueError):
             FirstOrderFactor(0, 0, X)
+
+    @given(_DIRECTION, _DIRECTION)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_symbol_never_vanishes(self, f_dir, g_dir):
+        # px*qx = py*qy = px*qy + py*qx = 0 forces one direction to be (0, 0),
+        # which FirstOrderFactor rejects: a composition is always second order.
+        op = compose_first_order(FirstOrderFactor(*f_dir, X), FirstOrderFactor(*g_dir, Y))
+        assert (op.symbol.a20, op.symbol.a11, op.symbol.a02) != (0, 0, 0)
 
 
 class TestReconstruction:
