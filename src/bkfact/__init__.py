@@ -50,6 +50,7 @@ from .lpdo import (
     ReducedCoeffs,
     ResidualTrace,
     apply_operator,
+    bk_factors,
     canonical_residual,
     characteristic_roots,
     compose_first_order,
@@ -57,7 +58,6 @@ from .lpdo import (
     exactness_system_deg1,
     family_deg1,
     is_exactly_factorizable,
-    reconstruct_factors,
     reduced_coeffs,
     residual,
     residual_closed_deg1,

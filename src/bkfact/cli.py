@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluate the theorem1/triangle sufficient conditions only")
 
     family = sub.add_parser("family", parents=[output],
-                            help="print a member of the exactly factorizable affine family")
+                            help="print a member of the affine family with a00 = R")
     family.add_argument("--c3", default="0")
     family.add_argument("--c2", default="0")
     family.add_argument("--c1", default="0")
@@ -332,6 +332,13 @@ def _run_batch(parser, argv: Sequence[str], path: str, out) -> int:
     return _worst(statuses)
 
 
+def _to_devnull(stream) -> None:
+    # The reader is gone (e.g. "| head -n 1").  Point the stream at devnull so
+    # that the interpreter's flush at exit has nowhere to fail.
+    with open(os.devnull, "w") as devnull:
+        os.dup2(devnull.fileno(), stream.fileno())
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -346,17 +353,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         out.flush()  # so that a failure to write the tail is caught here too
         return status
     except BrokenPipeError:
-        # The reader is gone (e.g. "| head -n 1").  Point stdout at devnull so
-        # that the interpreter's flush at exit has nowhere to fail.
-        with open(os.devnull, "w") as devnull:
-            os.dup2(devnull.fileno(), out.fileno())
+        _to_devnull(out)
         return EX_IOERR
     except UsageError as exc:
-        print(f"bkfact: usage error: {exc}", file=err)
-        return EX_USAGE
+        message, status = f"usage error: {exc}", EX_USAGE
     except (InputError, BkfactError, ValueError) as exc:
-        print(f"bkfact: input error: {exc}", file=err)
-        return EX_DATA
+        message, status = f"input error: {exc}", EX_DATA
+    try:
+        print(f"bkfact: {message}", file=err, flush=True)
+    except BrokenPipeError:  # a closed stderr keeps the error status
+        _to_devnull(err)
+    return status
 
 
 if __name__ == "__main__":

@@ -14,8 +14,8 @@ simple rational root omega of the characteristic polynomial
 This module decides the residual condition a00 = R.  It is not the same
 predicate as factoring into first-order operators: TestReconstruction::
 test_residual_truth_and_composition_truth_diverge in tests/test_lpdo.py
-pins a counterexample each way (ROADMAP.md, "The BK factorization condition
-by construction").
+pins a counterexample each way.  bk_factors constructs the first-order
+factors along a root, and the residual that vanishes iff they compose to op.
 
 With k = 2*a20*omega + a11 (nonzero for a simple root) the residual is
 
@@ -161,21 +161,27 @@ def characteristic_roots(symbol: PrincipalSymbol) -> tuple[CharRoot, CharRoot]:
     return (CharRoot(first, simple), CharRoot(second, simple))
 
 
+def _simple_root_k(symbol: PrincipalSymbol, root: CharRoot) -> Fraction:
+    """k = 2*a20*omega + a11 for a simple root omega of a symbol with a20 != 0."""
+    if symbol.char_value(root.omega) != 0:
+        raise ValueError(f"{root.omega} is not a root of the principal symbol")
+    k = 2 * symbol.a20 * root.omega + symbol.a11
+    if not root.simple or k == 0:
+        raise NotSimpleRootError(f"root {root.omega} is not simple")
+    if symbol.a20 == 0:
+        raise ZeroLeadingError("leading symbol coefficient a20 is zero")
+    return k
+
+
 def residual(op: LPDO2, root: CharRoot) -> ResidualTrace:
-    """Factorization residual of op along a simple characteristic root.
+    """Residual R of op along a simple characteristic root.
 
     Requires root.simple; the residual condition is that op.a00 equals the
     returned trace's r.  The drift term is differentiated along the direction
     of the largest root of the symbol (see the module docstring), which for
     the canonical symbol is Dx - Dy for both roots.
     """
-    if op.symbol.char_value(root.omega) != 0:
-        raise ValueError(f"{root.omega} is not a root of the principal symbol")
-    k = 2 * op.symbol.a20 * root.omega + op.symbol.a11
-    if not root.simple or k == 0:
-        raise NotSimpleRootError(f"root {root.omega} is not simple")
-    if op.symbol.a20 == 0:
-        raise ZeroLeadingError("leading symbol coefficient a20 is zero")
+    k = _simple_root_k(op.symbol, root)
     # The other root by Vieta; the drift is along the larger of the two.
     drift = max(root.omega, -op.symbol.a11 / op.symbol.a20 - root.omega)
     n_poly = root.omega * op.a10 + op.a01
@@ -297,18 +303,17 @@ def exactness_system_deg1(op: LPDO2, root: CharRoot) -> tuple[tuple[Fraction, ..
     return values, all(v == 0 for v in values)
 
 
-def family_deg1(c3: Scalar, c2: Scalar, c1: Scalar, d1: Scalar,
-                omega: "Scalar | CharRoot") -> LPDO2:
+def family_deg1(c3: Scalar, c2: Scalar, c1: Scalar, d1: Scalar, omega: Scalar) -> LPDO2:
     """The full family of canonical operators with affine coefficients that
     satisfy a00 = R (which need not factor; see the module docstring) along
-    the chosen root (a CharRoot or a bare +/-1).
+    the root omega = +/-1.
 
     For omega = -1:  a10 = c3*x + c2*y + c1, a01 = c3*x + c2*y + d1,
     a00 = (c1 - d1)^2 / 4.  For omega = +1 the mirrored family uses
     a01 = -c3*x - c2*y + d1 and a00 = (c1 + d1)^2 / 4, so the reduced
     x and y coefficients vanish under the + combination as well.
     """
-    w = omega.omega if isinstance(omega, CharRoot) else as_fraction(omega)
+    w = as_fraction(omega)
     c3v, c2v, c1v, d1v = (as_fraction(v) for v in (c3, c2, c1, d1))
     a10 = Poly2.affine(c3v, c2v, c1v)
     if w == -1:
@@ -378,25 +383,16 @@ def apply_operator(op: LPDO2, u: Poly2) -> Poly2:
             + op.a10 * ux + op.a01 * uy + op.a00 * u)
 
 
-def reconstruct_factors(op: LPDO2) -> Optional[tuple[FirstOrderFactor, FirstOrderFactor]]:
-    """Search for first-order factors of a canonical operator by composition.
+def bk_factors(op: LPDO2, root: CharRoot) -> tuple[FirstOrderFactor, FirstOrderFactor, Poly2]:
+    """(left, right, residual), the Beals-Kartashova factors along a simple root.
 
-    Tries the orderings (Dx+Dy+p)(Dx-Dy+q) and (Dx-Dy+p)(Dx+Dy+q); in each,
-    p and q are forced linearly by a10 and a01, so the candidate is verified
-    by recomposing and comparing against op exactly.  Returns the first
-    verified pair or None.  Note that success here and the residual condition
-    a00 = R are different predicates: an operator can satisfy one and not the
-    other, because the a00 of a composition is L{q} + p*q, which does not
-    coincide symbolically with L{S} + S^2.
-    """
-    if not op.symbol.is_canonical:
-        raise ValueError("factor reconstruction is defined for the canonical symbol")
-    half_sum = (op.a10 + op.a01) / 2
-    half_diff = (op.a10 - op.a01) / 2
-    for f, g in (
-        (FirstOrderFactor(1, 1, half_diff), FirstOrderFactor(1, -1, half_sum)),
-        (FirstOrderFactor(1, -1, half_sum), FirstOrderFactor(1, 1, half_diff)),
-    ):
-        if compose_first_order(f, g) == op:
-            return (f, g)
-    return None
+    left = Dx - omega*Dy + p and right = a20*Dx + (a11 + a20*omega)*Dy + q
+    compose to op's symbol, a10 and a01; the composition equals op iff the
+    residual a00 - (Dx - omega*Dy){q} - p*q is zero."""
+    k = _simple_root_k(op.symbol, root)
+    a20, w = op.symbol.a20, root.omega
+    p = (op.a01 + w * op.a10) / k
+    q = op.a10 - a20 * p
+    left = FirstOrderFactor(1, -w, p)
+    right = FirstOrderFactor(a20, op.symbol.a11 + a20 * w, q)
+    return left, right, op.a00 - char_diff(q, w) - p * q

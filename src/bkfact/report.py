@@ -50,14 +50,11 @@ class Report:
     n: Fraction
     roots: tuple[RootReport, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return json.dumps({
             "parameters": parameters_json(self.eps, self.m, self.n),
             "roots": [_root_json(r) for r in self.roots],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        }, sort_keys=True)
 
     def to_text(self) -> str:
         lines = [parameters_text(self.eps, self.m, self.n)]

@@ -14,10 +14,13 @@ from bkfact import (
     CertifiedInside,
     CertRequest,
     Extrema,
+    FirstOrderFactor,
+    LPDO2,
     Poly2,
     Unknown,
     Violated,
     as_fraction,
+    compose_first_order,
 )
 from bkfact.errors import ExponentError, ParseError
 from bkfact.parsing import MAX_DEGREE
@@ -410,6 +413,31 @@ def reference_bernstein_certify(request: CertRequest):
     if overshoots:
         return Unknown(gap=max(overshoots))
     return CertifiedInside(margin=eps - worst_inside)
+
+
+# The factor search as it was, kept as the oracle of bkfact.lpdo.bk_factors.
+def reference_reconstruct_factors(op: LPDO2) -> Optional[tuple[FirstOrderFactor, FirstOrderFactor]]:
+    """Search for first-order factors of a canonical operator by composition.
+
+    Tries the orderings (Dx+Dy+p)(Dx-Dy+q) and (Dx-Dy+p)(Dx+Dy+q); in each,
+    p and q are forced linearly by a10 and a01, so the candidate is verified
+    by recomposing and comparing against op exactly.  Returns the first
+    verified pair or None.  Note that success here and the residual condition
+    a00 = R are different predicates: an operator can satisfy one and not the
+    other, because the a00 of a composition is L{q} + p*q, which does not
+    coincide symbolically with L{S} + S^2.
+    """
+    if not op.symbol.is_canonical:
+        raise ValueError("factor reconstruction is defined for the canonical symbol")
+    half_sum = (op.a10 + op.a01) / 2
+    half_diff = (op.a10 - op.a01) / 2
+    for f, g in (
+        (FirstOrderFactor(1, 1, half_diff), FirstOrderFactor(1, -1, half_sum)),
+        (FirstOrderFactor(1, -1, half_sum), FirstOrderFactor(1, 1, half_diff)),
+    ):
+        if compose_first_order(f, g) == op:
+            return (f, g)
+    return None
 
 
 # The expression parser as it was, kept as the oracle of bkfact.parsing.

@@ -396,6 +396,21 @@ class TestBatch:
         proc.stderr.close()
         assert (proc.wait(timeout=60), err) == (74, b"")
 
+    @pytest.mark.parametrize("argv, status", [(["residual", "--a10", "2x"], 65),
+                                              (["certify", "--depth", "99"], 64)])
+    def test_closed_stderr_keeps_error_status(self, argv, status):
+        # A closed stderr must not turn an error into status 1 ("violated").
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(Path(bkfact.__file__).resolve().parent.parent))
+        try:
+            proc = subprocess.run([sys.executable, "-m", "bkfact.cli", *argv],
+                                  stdout=subprocess.DEVNULL, stderr=write_end, env=env,
+                                  timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == status
+
 
 SPLIT_LINES = [
     "", "   ", "--a00 1", "--a00 '1/2*x + y'", '--a00 "x - y"', "''", '""', "'' \"\"",

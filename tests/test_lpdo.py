@@ -4,10 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bkfact import (
     CANONICAL_SYMBOL,
+    BkfactError,
     CharRoot,
     DegreeTooHighError,
     FirstOrderFactor,
@@ -18,6 +19,7 @@ from bkfact import (
     PrincipalSymbol,
     ZeroLeadingError,
     apply_operator,
+    bk_factors,
     canonical_residual,
     characteristic_roots,
     compose_first_order,
@@ -25,13 +27,12 @@ from bkfact import (
     exactness_system_deg1,
     family_deg1,
     is_exactly_factorizable,
-    reconstruct_factors,
     reduced_coeffs,
     residual,
     residual_closed_deg1,
     residual_closed_deg2,
 )
-from helpers import rand_frac, rand_poly2
+from helpers import rand_frac, rand_poly2, reference_reconstruct_factors
 
 X = Poly2.var("x")
 Y = Poly2.var("y")
@@ -347,55 +348,120 @@ class TestComposition:
         assert (op.symbol.a20, op.symbol.a11, op.symbol.a02) != (0, 0, 0)
 
 
+# Rational values and polynomials of total degree <= 2 for constructed
+# operators.
+_VALUE = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_NONZERO = _VALUE.filter(lambda v: v != 0)
+_QUADRATIC = st.dictionaries(st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]),
+                             _VALUE).map(Poly2)
+
+
 class TestReconstruction:
     def test_wave(self):
-        f, g = reconstruct_factors(LPDO2.canonical())
-        assert (f.px, f.py) == (1, 1) and f.p0.is_zero
-        assert (g.px, g.py) == (1, -1) and g.p0.is_zero
+        # Dxx - Dyy = (Dx + Dy) o (Dx - Dy) along omega = -1, mirrored along +1.
+        for root, sign in ((ROOT_MINUS, 1), (ROOT_PLUS, -1)):
+            left, right, res = bk_factors(LPDO2.canonical(), root)
+            assert (left.px, left.py, right.px, right.py) == (1, sign, 1, -sign)
+            assert left.p0.is_zero and right.p0.is_zero and res.is_zero
 
     def test_constant_factors(self):
         op = LPDO2.canonical(a10=Poly2.const(3), a01=Poly2.const(1), a00=Poly2.const(2))
-        f, g = reconstruct_factors(op)
-        assert f.p0 == Poly2.const(1)
-        assert g.p0 == Poly2.const(2)
-        assert compose_first_order(f, g) == op
+        left, right, res = bk_factors(op, ROOT_MINUS)
+        assert left.p0 == Poly2.const(1)
+        assert right.p0 == Poly2.const(2)
+        assert res.is_zero
+        assert compose_first_order(left, right) == op
 
     def test_absent(self):
-        assert reconstruct_factors(LPDO2.canonical(a00=Poly2.const(1))) is None
+        op = LPDO2.canonical(a00=Poly2.const(1))
+        for root in (ROOT_MINUS, ROOT_PLUS):
+            assert bk_factors(op, root)[2] == Poly2.const(1)
 
     def test_round_trip_on_compositions(self):
         rng = random.Random(14)
-        hits = 0
         for _ in range(100):
             f = FirstOrderFactor(1, rng.choice((1, -1)), rand_poly2(rng, 1))
             g = FirstOrderFactor(1, -f.py, rand_poly2(rng, 1))
             op = compose_first_order(f, g)
-            pair = reconstruct_factors(op)
-            assert pair is not None
-            assert compose_first_order(*pair) == op
-            hits += 1
-        assert hits == 100
+            left, right, res = bk_factors(op, ROOT_MINUS if f.py == 1 else ROOT_PLUS)
+            assert (left, right) == (f, g)
+            assert res.is_zero
 
     def test_round_trip_when_found(self):
         rng = random.Random(15)
         for _ in range(200):
             op = LPDO2.canonical(rand_poly2(rng, 1), rand_poly2(rng, 1), rand_poly2(rng, 1))
-            pair = reconstruct_factors(op)
-            if pair is not None:
-                assert compose_first_order(*pair) == op
+            for root in (ROOT_MINUS, ROOT_PLUS):
+                left, right, res = bk_factors(op, root)
+                assert (compose_first_order(left, right) == op) == res.is_zero
+
+    @given(_VALUE, _VALUE, _NONZERO, _NONZERO, _QUADRATIC, _QUADRATIC)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_construction_on_rational_root_symbols(self, w1, w2, a, b, p, q):
+        # a*(Dx - w1*Dy) + p composed with b*(Dx - w2*Dy) + q has the symbol
+        # roots w1 and w2.  Along either root the constructed factors match op
+        # except in a00, where they miss it by the residual; along w1 they
+        # recover op.
+        assume(w1 != w2)
+        op = compose_first_order(FirstOrderFactor(a, -a * w1, p), FirstOrderFactor(b, -b * w2, q))
+        for root in characteristic_roots(op.symbol):
+            left, right, res = bk_factors(op, root)
+            composed = compose_first_order(left, right)
+            assert (composed.symbol, composed.a10, composed.a01) == (op.symbol, op.a10, op.a01)
+            assert composed.a00 + res == op.a00
+            assert (composed == op) == res.is_zero
+            assert root.omega != w1 or res.is_zero
+
+    def test_first_zero_residual_root_matches_search(self):
+        # Compositions, constant operators (which factor along both roots or
+        # neither) and random affine operators: the first ascending root with a
+        # zero residual yields the factors the two-ordering search finds.
+        rng = random.Random(16)
+        for trial in range(300):
+            factors = None  # unknown for a random operator
+            if trial % 3 == 0:
+                f = FirstOrderFactor(1, rng.choice((1, -1)), rand_poly2(rng, 2))
+                op = compose_first_order(f, FirstOrderFactor(1, -f.py, rand_poly2(rng, 2)))
+                factors = True
+            elif trial % 3 == 1:
+                c, d, shift = rand_frac(rng), rand_frac(rng), rng.choice((0, 1))
+                op = LPDO2.canonical(Poly2.const(c), Poly2.const(d),
+                                     Poly2.const((c * c - d * d) / 4 + shift))
+                factors = shift == 0
+            else:
+                op = LPDO2.canonical(rand_poly2(rng, 1), rand_poly2(rng, 1), rand_poly2(rng, 1))
+            constructed = [bk_factors(op, root) for root in (ROOT_MINUS, ROOT_PLUS)]
+            first = next(((left, right) for left, right, res in constructed if res.is_zero), None)
+            assert first == reference_reconstruct_factors(op)
+            assert factors is None or factors == (first is not None)
+
+    @pytest.mark.parametrize("symbol, root", [
+        (CANONICAL_SYMBOL, CharRoot(2, True)),  # not a root
+        (PrincipalSymbol(1, 2, 1), CharRoot(-1, False)),  # repeated root
+        (CANONICAL_SYMBOL, CharRoot(1, False)),  # a simple root flagged repeated
+        (PrincipalSymbol(0, 1, -1), CharRoot(1, True)),  # no Dxx part
+    ])
+    def test_root_errors_match_residual(self, symbol, root):
+        op = LPDO2(symbol, X, Y, Poly2.zero())
+        with pytest.raises((ValueError, BkfactError)) as expected:
+            residual(op, root)
+        with pytest.raises((ValueError, BkfactError)) as got:
+            bk_factors(op, root)
+        assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
 
     def test_residual_truth_and_composition_truth_diverge(self):
-        # The two notions of factorizability do not coincide, and the suite
-        # records (rather than reconciles) that divergence:
-        # 1) a generic member of the affine family satisfies a00 = R yet has
-        #    no composition into the two tried orderings;
+        # The residual condition a00 = R and factoring do not coincide, and
+        # the suite records (rather than reconciles) that divergence:
+        # 1) a generic member of the affine family satisfies a00 = R yet has a
+        #    nonzero BK residual, so no factorization, along either root;
         op = family_deg1(2, 3, 5, 1, -1)
         assert is_exactly_factorizable(op, ROOT_MINUS)
-        assert reconstruct_factors(op) is None
+        assert not any(bk_factors(op, root)[2].is_zero for root in (ROOT_MINUS, ROOT_PLUS))
         # 2) an honest composition need not satisfy a00 = R for either root:
-        # (Dx - Dy) o (Dx + Dy + x) has a00 = 1 but R(-1) = 1 + x^2 and R(+1) = 0.
+        # (Dx - Dy) o (Dx + Dy + x) has a00 = 1 but R(-1) = 1 + x^2 and R(+1) = 0,
+        # while its BK residual along omega = 1 is zero.
         composed = compose_first_order(FirstOrderFactor(1, -1, Poly2.zero()),
                                        FirstOrderFactor(1, 1, X))
-        assert reconstruct_factors(composed) is not None
+        assert bk_factors(composed, ROOT_PLUS)[2].is_zero
         assert not is_exactly_factorizable(composed, ROOT_MINUS)
         assert not is_exactly_factorizable(composed, ROOT_PLUS)
