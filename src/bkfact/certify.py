@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import ClassVar, Optional, Union
 
 from .errors import DegreeTooHighError, PreconditionViolatedError
-from .poly import Box, Poly2, Scalar, _bernstein_coefficients, as_fraction, bernstein_on_rect
+from .poly import Box, Poly2, Scalar, as_fraction, bernstein_on_rect
 
 Point = tuple[Fraction, Fraction]
 DEFAULT_DEPTH = 12  # Bernstein subdivision depth budget
@@ -438,7 +438,7 @@ def certify_open_box(request: CertRequest) -> Certificate:
     return Violated(witness=witness, value=value)
 
 
-def _touches_only_outer_boundary(coeffs: list[list[Fraction]], eps: Fraction,
+def _touches_only_outer_boundary(coeffs: tuple[tuple[Fraction, ...], ...], eps: Fraction,
                                  outer_x: tuple[bool, bool], outer_y: tuple[bool, bool]
                                  ) -> bool:
     """For Bernstein coefficients all in [-eps, eps]: true iff some face's
@@ -487,15 +487,11 @@ def bernstein_certify(request: CertRequest) -> Certificate:
     while stack:
         xlo, xhi, ylo, yhi, depth = stack.pop()
         enclosure = bernstein_on_rect(d, xlo, xhi, ylo, yhi)
-        if -eps < enclosure.lo and enclosure.hi < eps:
-            bound = max(enclosure.hi, -enclosure.lo)
-            if bound > worst_inside:
-                worst_inside = bound
-            continue
-        if (-eps <= enclosure.lo and enclosure.hi <= eps and _touches_only_outer_boundary(
-                _bernstein_coefficients(d, xlo, xhi, ylo, yhi), eps,
+        bound = max(enclosure.hi, -enclosure.lo)
+        if bound < eps or (bound == eps and _touches_only_outer_boundary(
+                enclosure.coefficients, eps,
                 (xlo == -box.m, xhi == box.m), (ylo == -box.n, yhi == box.n))):
-            worst_inside = eps
+            worst_inside = max(worst_inside, bound)
             continue
         cx = (xlo + xhi) / 2
         cy = (ylo + yhi) / 2
@@ -511,7 +507,7 @@ def bernstein_certify(request: CertRequest) -> Certificate:
                 stack.append((xlo, xhi, cy, yhi, depth + 1))
                 stack.append((xlo, xhi, ylo, cy, depth + 1))
         else:
-            overshoots.append(max(enclosure.hi - eps, -eps - enclosure.lo))
+            overshoots.append(bound - eps)
     if overshoots:
         return Unknown(gap=max(overshoots))
     return CertifiedInside(margin=eps - worst_inside)

@@ -69,9 +69,16 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# A scalar flag's literal: an integer or p/q, or a finite decimal once the "."
+# check has passed.  Fraction() alone would also take "1e-3" and "1_0".
+_RATIONAL = re.compile(r"\s*[-+]?(?:\d+(?:/\d+|\.\d*)?|\.\d+)\s*")
+
+
 def _parse_rational(text: str, decimals: bool) -> Fraction:
     if "." in text and not decimals:
         raise UsageError(f"decimal {text!r} rejected; pass --decimal-as-rational or use p/q form")
+    if _RATIONAL.fullmatch(text) is None:
+        raise UsageError(f"invalid rational {text!r}: expected an integer, p/q or a finite decimal")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

@@ -306,24 +306,17 @@ def exactness_system_deg1(op: LPDO2, root: CharRoot) -> tuple[tuple[Fraction, ..
 def family_deg1(c3: Scalar, c2: Scalar, c1: Scalar, d1: Scalar, omega: Scalar) -> LPDO2:
     """The full family of canonical operators with affine coefficients that
     satisfy a00 = R (which need not factor; see the module docstring) along
-    the root omega = +/-1.
-
-    For omega = -1:  a10 = c3*x + c2*y + c1, a01 = c3*x + c2*y + d1,
-    a00 = (c1 - d1)^2 / 4.  For omega = +1 the mirrored family uses
-    a01 = -c3*x - c2*y + d1 and a00 = (c1 + d1)^2 / 4, so the reduced
-    x and y coefficients vanish under the + combination as well.
+    the root omega = +/-1: a10 = c3*x + c2*y + c1, a01 = -omega*(c3*x +
+    c2*y) + d1 and a00 = (c1 + omega*d1)^2 / 4, so that the reduced x and y
+    coefficients vanish.
     """
     w = as_fraction(omega)
     c3v, c2v, c1v, d1v = (as_fraction(v) for v in (c3, c2, c1, d1))
-    a10 = Poly2.affine(c3v, c2v, c1v)
-    if w == -1:
-        a01 = Poly2.affine(c3v, c2v, d1v)
-        a00 = Poly2.const((c1v - d1v) ** 2 / 4)
-    elif w == 1:
-        a01 = Poly2.affine(-c3v, -c2v, d1v)
-        a00 = Poly2.const((c1v + d1v) ** 2 / 4)
-    else:
+    if w * w != 1:
         raise ValueError("family is defined for omega in {1, -1}")
+    a10 = Poly2.affine(c3v, c2v, c1v)
+    a01 = Poly2.affine(-w * c3v, -w * c2v, d1v)
+    a00 = Poly2.const((c1v + w * d1v) ** 2 / 4)
     return LPDO2.canonical(a10, a01, a00)
 
 

@@ -21,6 +21,10 @@ Numbers are runs of decimal digits (str.isdecimal, so "\u0663" is 3 but
 interpreter's int-conversion limit (4300 digits by default) raises
 ParseError at its position.
 
+Parentheses nest at most MAX_NESTING deep; a "(" past that raises
+ParseError at its position.  Unary minus is parsed in a loop, so any run
+of "-" signs is accepted.
+
 No power or product may exceed total degree MAX_DEGREE, and no exponent may
 exceed MAX_DEGREE, whatever its base.  The degree of a power is
 degree*exponent and that of a product the sum of the factors' degrees, so
@@ -54,6 +58,9 @@ from .errors import ExponentError, ParseError
 from .poly import Poly2, Terms
 
 MAX_DEGREE = 32
+# Parentheses may nest this deep: at five parser frames per level, 100 levels
+# take half of Python's default recursion limit and leave the rest to the caller.
+MAX_NESTING = 100
 # A power, product or sum may create coefficients of at most this many bits:
 # at most 4,215 decimal digits, so they print under Python's default
 # 4,300-digit int-string limit.
@@ -157,6 +164,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.index = 0
+        self.depth = 0  # parentheses open at the current token
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -212,10 +220,12 @@ class _Parser:
         return value
 
     def parse_factor(self) -> Terms:
-        if self.peek()[0] == "-":
+        negate = False
+        while self.peek()[0] == "-":
             self.advance()
-            return {key: -coeff for key, coeff in self.parse_factor().items()}
-        return self.parse_power()
+            negate = not negate
+        value = self.parse_power()
+        return {key: -coeff for key, coeff in value.items()} if negate else value
 
     def parse_power(self) -> Terms:
         value = self.parse_atom()
@@ -271,8 +281,12 @@ class _Parser:
         if kind == _VAR:
             return {(1, 0) if token[1] == "x" else (0, 1): Fraction(1)}
         if kind == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", token[2])
             inner = self.parse_expr()
             self.expect(")", (")",))
+            self.depth -= 1
             return inner
         raise _unexpected(token, ("number", "x", "y", "(", "-"))
 

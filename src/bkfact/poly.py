@@ -13,7 +13,7 @@ x-degree descending), so e.g. x^2 comes before x*y before y^2 before x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
 from typing import Mapping, Union
@@ -288,10 +288,12 @@ class Box:
 
 @dataclass(frozen=True)
 class RangeEnclosure:
-    """Interval [lo, hi] guaranteed to contain the range of a polynomial."""
+    """Interval [lo, hi] guaranteed to contain the range of a polynomial,
+    and the Bernstein coefficients it was read from (empty if not given)."""
 
     lo: Fraction
     hi: Fraction
+    coefficients: tuple[tuple[Fraction, ...], ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lo", as_fraction(self.lo))
@@ -345,14 +347,18 @@ def _basis_change(a: list[Fraction], basis: list[list[Fraction]]) -> list[Fracti
     return out
 
 
-def _bernstein_coefficients(p: Poly2, xlo: Scalar, xhi: Scalar, ylo: Scalar,
-                            yhi: Scalar) -> list[list[Fraction]]:
-    """Tensor-product Bernstein coefficients b[r][s] of p on the closed
-    rectangle [xlo, xhi] x [ylo, yhi], 0 <= r <= x-degree, 0 <= s <= y-degree.
+def bernstein_on_rect(p: Poly2, xlo: Scalar, xhi: Scalar, ylo: Scalar, yhi: Scalar) -> RangeEnclosure:
+    """Range enclosure of p on the closed rectangle [xlo, xhi] x [ylo, yhi],
+    with the tensor-product Bernstein coefficients b[r][s] it is read from,
+    0 <= r <= x-degree, 0 <= s <= y-degree, as its coefficients.
 
     The rectangle is mapped affinely onto the unit square (x = xlo + wx*u,
     y = ylo + wy*v), so that p = sum of b[r][s]*B_r(u)*B_s(v) with the
     Bernstein basis polynomials B_k(t) = comb(d, k)*t^k*(1 - t)^(d - k).
+    These are nonnegative and sum to 1, so the minimum and maximum b[r][s]
+    enclose the range.  The enclosure is exact for affine polynomials and
+    tightens under subdivision, but is generally not tight before it (x^2
+    on [-1, 1] encloses to [-1, 1]).
 
     The transform is separable (Titi & Garloff 2019): p's coefficients are
     placed in a dense (dx+1) x (dy+1) grid; each column is Taylor-shifted to
@@ -361,8 +367,6 @@ def _bernstein_coefficients(p: Poly2, xlo: Scalar, xhi: Scalar, ylo: Scalar,
     costs O(d^2) per line, O(dx*dy*(dx + dy)) Fraction operations in all
     (the direct double sum is O(dx^2*dy^2)).
     """
-    if p.is_zero:
-        return [[Fraction(0)]]
     x0 = as_fraction(xlo)
     y0 = as_fraction(ylo)
     wx = as_fraction(xhi) - x0
@@ -385,22 +389,9 @@ def _bernstein_coefficients(p: Poly2, xlo: Scalar, xhi: Scalar, ylo: Scalar,
     y_basis = _basis(dy)
     columns = [list(column) for column in zip(*(_basis_change(row, y_basis) for row in rows))]
     x_basis = _basis(dx)
-    return [list(row) for row in zip(*(_basis_change(column, x_basis) for column in columns))]
-
-
-def bernstein_on_rect(p: Poly2, xlo: Scalar, xhi: Scalar, ylo: Scalar, yhi: Scalar) -> RangeEnclosure:
-    """Range enclosure of p on the closed rectangle [xlo, xhi] x [ylo, yhi].
-
-    The rectangle is mapped affinely onto the unit square and p is rewritten
-    in the tensor-product Bernstein basis by separable passes, in
-    O(dx*dy*(dx + dy)) exact operations (see _bernstein_coefficients); the
-    minimum and maximum Bernstein coefficients enclose the range.  The
-    enclosure is exact for affine polynomials and tightens under
-    subdivision, but is generally not tight before it (x^2 on [-1, 1]
-    encloses to [-1, 1]).
-    """
-    coeffs = [b for row in _bernstein_coefficients(p, xlo, xhi, ylo, yhi) for b in row]
-    return RangeEnclosure(min(coeffs), max(coeffs))
+    grid = tuple(zip(*(_basis_change(column, x_basis) for column in columns)))
+    coeffs = [b for row in grid for b in row]
+    return RangeEnclosure(min(coeffs), max(coeffs), grid)
 
 
 def format_poly(p: Poly2) -> str:

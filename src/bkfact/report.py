@@ -1,8 +1,8 @@
 """Per-root certification reports with deterministic text and JSON forms.
 
 A report runs, for every requested characteristic root: the residual, the
-exact-factorizability verdict, the open-box certificate for the difference
-a00 - R, and the two cheap sufficient conditions.  Serialization is
+a00 = R verdict, the open-box certificate for the difference a00 - R, and
+the two cheap sufficient conditions.  Serialization is
 canonical (sorted keys, canonical monomial order, rationals as exact
 strings), so identical inputs produce byte-identical output.
 """

@@ -333,7 +333,7 @@ def reference_grid_witness(d: Poly2, box: Box, eps: Fraction, grid_k: int):
 
 
 # The power-to-Bernstein conversion as it was (O(dx^2*dy^2) per rectangle),
-# kept as the oracle of bkfact.poly._bernstein_coefficients.
+# kept as the oracle of the coefficients of bkfact.poly.bernstein_on_rect.
 def reference_bernstein_coefficients(p: Poly2, xlo: Scalar, xhi: Scalar, ylo: Scalar,
                                      yhi: Scalar) -> list[list[Fraction]]:
     """Tensor-product Bernstein coefficients b[r][s] of p on the closed

@@ -13,7 +13,7 @@ from jsonschema import validate
 
 import bkfact
 from bkfact.cli import MAX_DEPTH, MAX_GRID, _split, main
-from bkfact.parsing import MAX_DEGREE
+from bkfact.parsing import MAX_DEGREE, MAX_NESTING
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -216,6 +216,17 @@ class TestExitCodes:
         status, out, err = run(capsys, *args)
         assert (status, out, err) == (65, "", f"bkfact: input error: {message}\n")
 
+    def test_deep_nesting_names_the_flag(self, capsys, tmp_path):
+        nested = "(" * 200 + "x" + ")" * 200
+        message = f"--a10: parentheses nested deeper than {MAX_NESTING} at position {MAX_NESTING}"
+        assert run(capsys, "residual", "--a10", nested) == (
+            65, "", f"bkfact: input error: {message}\n")
+        batch = tmp_path / "batch.txt"
+        batch.write_text(f"--a10=x\n--a10={'-' * 1000}x\n--a10='{nested}'\n--a10=y\n")
+        status, out, err = run(capsys, "residual", "--input", str(batch))
+        assert (status, err) == (65, f"bkfact: input error: batch line 3: {message}\n")
+        assert out == run(capsys, "residual", "--a10=x")[1] * 2
+
     def test_input_errors(self, capsys):
         # elliptic symbol: no rational characteristic roots
         assert run(capsys, "residual", "--a02", "1")[0] == 65
@@ -244,6 +255,26 @@ class TestFlags:
         assert accepted[0] == 0
         status, out, _ = run(capsys, "certify", "--eps", "1/2", "--format", "json")
         assert json.loads(out)["parameters"]["eps"] == "1/2"
+
+    @pytest.mark.parametrize("command, flag", [
+        *(("certify", flag) for flag in ("--a20", "--a11", "--a02", "--root", "--eps", "--m",
+                                         "--n")),
+        *(("family", flag) for flag in ("--c3", "--c2", "--c1", "--d1", "--root")),
+    ])
+    @pytest.mark.parametrize("text, decimals", [("1e-3", False), ("1_0", False), ("1.5e1", True)])
+    def test_scalar_flags_take_literals_only(self, capsys, command, flag, text, decimals):
+        # Fraction() alone would read these as 1/1000, 10 and 15.
+        argv = [command, f"{flag}={text}"] + ["--decimal-as-rational"] * decimals
+        assert run(capsys, *argv) == (64, "", f"bkfact: usage error: invalid rational {text!r}: "
+                                              "expected an integer, p/q or a finite decimal\n")
+
+    @pytest.mark.parametrize("text, decimals, same_as", [
+        (" +1/2 ", False, "1/2"), ("\u0663/\u0664", False, "3/4"), ("5", False, "5"),
+        (".5", True, "1/2"), ("5.", True, "5"), ("+0.25\t", True, "1/4"),
+    ])
+    def test_scalar_literal_forms(self, capsys, text, decimals, same_as):
+        argv = ["certify", "--a00", "1/2*x"] + ["--decimal-as-rational"] * decimals
+        assert run(capsys, *argv, "--eps", text) == run(capsys, *argv, "--eps", same_as)
 
     def test_root_filter(self, capsys):
         status, out, _ = run(capsys, "certify", "--root", "-1", "--format", "json")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bkfact import ExponentError, ParseError, Poly2, format_poly, parse_poly, parsing
-from bkfact.parsing import MAX_DEGREE, MAX_POWER_BITS
+from bkfact.parsing import MAX_DEGREE, MAX_NESTING, MAX_POWER_BITS
 from helpers import rand_poly2, reference_parse_poly
 
 X = Poly2.var("x")
@@ -196,6 +196,30 @@ NINES = "9" * 3000  # 9,966 bits
 def _max_bits(p: Poly2) -> int:
     return max((max(abs(c.numerator).bit_length(), c.denominator.bit_length())
                 for _, c in p.terms()), default=0)
+
+
+class TestNesting:
+    def test_at_the_cap(self):
+        nested = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+        assert parse_poly(nested) == X
+        # Closed parentheses no longer count toward the depth.
+        assert parse_poly(" + ".join([nested] * 3) + f"*{nested}") == 2 * X + X * X
+
+    def test_over_the_cap(self):
+        text = "1 + -" + "(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1)
+        with pytest.raises(ParseError) as info:
+            parse_poly(text)
+        position = 5 + MAX_NESTING
+        assert type(info.value) is ParseError and info.value.position == position
+        assert str(info.value) == (f"parentheses nested deeper than {MAX_NESTING} "
+                                   f"at position {position}")
+
+    def test_long_unary_minus_runs(self):
+        assert parse_poly("-" * 5000 + "x") == X
+        assert parse_poly("1 - " + "-" * 5001 + "(x - y)^2") == Poly2.const(1) + (X - Y) ** 2
+        with pytest.raises(ParseError) as info:
+            parse_poly("-" * 5000)
+        assert info.value.position == 5000
 
 
 class TestCoefficientBound:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bkfact import Box, Poly2, RangeEnclosure, char_diff, format_poly, parse_poly
-from bkfact.poly import _bernstein_coefficients, bernstein_on_rect
+from bkfact.poly import bernstein_on_rect
 from helpers import (Poly1, rand_frac, rand_nonzero_frac, rand_point_in_box, rand_poly2,
                      reference_bernstein_coefficients, restrict)
 
@@ -244,15 +244,17 @@ def _dyadic_rectangle(rng: random.Random) -> tuple[Fraction, ...]:
 
 
 def assert_matches_reference(p: Poly2, rect: tuple[Fraction, ...]) -> None:
-    got = _bernstein_coefficients(p, *rect)
-    assert got == reference_bernstein_coefficients(p, *rect), (p, rect)
+    enclosure = bernstein_on_rect(p, *rect)
+    got = enclosure.coefficients
+    assert [list(row) for row in got] == reference_bernstein_coefficients(p, *rect), (p, rect)
+    assert (enclosure.lo, enclosure.hi) == (min(map(min, got)), max(map(max, got)))
     assert len(got) == max(p.x_degree, 0) + 1
     assert all(len(row) == max(p.y_degree, 0) + 1 for row in got)
     assert all(type(b) is Fraction for row in got for b in row), (p, rect)
 
 
 class TestBernsteinAgainstReference:
-    """_bernstein_coefficients against the direct O(dx^2*dy^2) conversion."""
+    """bernstein_on_rect's coefficients against the direct O(dx^2*dy^2) conversion."""
 
     SHAPES = ("dense", "sparse", "separable", "x-only", "y-only", "constant", "zero")
 
@@ -277,7 +279,7 @@ class TestBernsteinAgainstReference:
     def test_rejects_empty_sides(self):
         for rect in ((1, 1, 0, 1), (0, 1, 2, 1)):
             with pytest.raises(ValueError):
-                _bernstein_coefficients(X * Y, *rect)
+                bernstein_on_rect(X * Y, *rect)
 
 class TestDisplay:
     def test_zero(self):
