@@ -54,10 +54,8 @@ from .lpdo import (
     canonical_residual,
     characteristic_roots,
     compose_first_order,
-    degree_necessary_check,
     exactness_system_deg1,
     family_deg1,
-    is_exactly_factorizable,
     reduced_coeffs,
     residual,
     residual_closed_deg1,

@@ -305,21 +305,13 @@ def quad_box_extrema(d: Poly2, box: Box) -> Extrema:
             # A chord meets the open square iff its midpoint does.
             point = (u * m, v * n)
             candidates.append((point, d.eval(*point), box.contains_open(*point)))
-    by_point: dict[Point, tuple[Fraction, bool]] = {}
-    for point, value, interior in candidates:
-        known = by_point.get(point)
-        if known is None or (interior and not known[1]):
-            by_point[point] = (value, interior)
-    max_val = max(value for value, _ in by_point.values())
-    min_val = min(value for value, _ in by_point.values())
-    max_points = tuple(sorted(pt for pt, (v, _) in by_point.items() if v == max_val))
-    min_points = tuple(sorted(pt for pt, (v, _) in by_point.items() if v == min_val))
-    interior_max = any(interior for pt, (v, interior) in by_point.items() if v == max_val)
-    interior_min = any(interior for pt, (v, interior) in by_point.items() if v == min_val)
+    max_val = max(value for _, value, _ in candidates)
+    min_val = min(value for _, value, _ in candidates)
     return Extrema(min_val=min_val, max_val=max_val,
-                   min_points=min_points, max_points=max_points,
-                   interior_min_attained=interior_min,
-                   interior_max_attained=interior_max)
+                   min_points=tuple(sorted({pt for pt, v, _ in candidates if v == min_val})),
+                   max_points=tuple(sorted({pt for pt, v, _ in candidates if v == max_val})),
+                   interior_min_attained=any(i for _, v, i in candidates if v == min_val),
+                   interior_max_attained=any(i for _, v, i in candidates if v == max_val))
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,9 @@ def _parse_rational(text: str, decimals: bool) -> Fraction:
         raise UsageError(f"invalid rational {text!r}: expected an integer, p/q or a finite decimal")
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
+        raise UsageError(f"invalid rational {text!r}: zero denominator") from exc
+    except ValueError as exc:
         raise UsageError(f"invalid rational {text!r}: {exc}") from exc
 
 
@@ -304,19 +306,12 @@ def _split(line: str) -> list[str]:
 
 
 def _run_batch(parser, argv: Sequence[str], path: str, out) -> int:
-    # Run the subcommand once per line, parsing the base invocation (minus
-    # --input itself) with the line's flags appended, so the line's flags win.
-    base, tokens = [], iter(argv)
-    for token in tokens:
-        if _names_flag(token, "--input"):
-            if "=" not in token:
-                next(tokens, None)
-        else:
-            base.append(token)
+    # Run the subcommand once per line, parsing the base invocation with the
+    # line's flags appended, so the line's flags win.
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read batch file: {exc}") from exc
     statuses = []
     for lineno, raw in enumerate(lines, start=1):
@@ -325,12 +320,13 @@ def _run_batch(parser, argv: Sequence[str], path: str, out) -> int:
             continue
         try:
             words = _split(line)
-            # --help would print the usage and exit in the middle of the run.
-            if any(word == "-h" or _names_flag(word, "--help") for word in words):
-                raise InputError("--help is not allowed in a batch file")
-            args = parser.parse_args(base + words)
-            if args.input is not None:
-                raise InputError("--input is not allowed in a batch file")
+            # --help would print the usage and exit in the middle of the run,
+            # and a line's --input would be ignored.
+            for word in words:
+                for flag in ("--help", "--input"):
+                    if _names_flag("--help" if word == "-h" else word, flag):
+                        raise InputError(f"{flag} is not allowed in a batch file")
+            args = parser.parse_args([*argv, *words])
             statuses.append(_HANDLERS[args.command](args, out))
         except UsageError as exc:
             raise UsageError(f"batch line {lineno}: {exc}") from exc

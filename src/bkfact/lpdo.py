@@ -320,17 +320,6 @@ def family_deg1(c3: Scalar, c2: Scalar, c1: Scalar, d1: Scalar, omega: Scalar) -
     return LPDO2.canonical(a10, a01, a00)
 
 
-def is_exactly_factorizable(op: LPDO2, root: CharRoot) -> bool:
-    """True iff a00 - R is the zero polynomial along the given root."""
-    return (op.a00 - residual(op, root).r).is_zero
-
-
-def degree_necessary_check(op: LPDO2, root: CharRoot) -> bool:
-    """Necessary condition deg(a00) <= deg(R); degrees use the -1 convention
-    for zero polynomials, so the check is total."""
-    return op.a00.degree <= residual(op, root).r.degree
-
-
 @dataclass(frozen=True)
 class FirstOrderFactor:
     """First-order operator px*Dx + py*Dy + p0 with constant direction."""

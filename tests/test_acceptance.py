@@ -28,7 +28,6 @@ from bkfact import (
     exactness_system_deg1,
     family_deg1,
     format_poly,
-    is_exactly_factorizable,
     lifted_sufficient,
     parse_poly,
     qf_linear,
@@ -192,7 +191,7 @@ def test_criterion_05_affine_family():
         c3, c2, c1, d1 = (rand_frac(rng) for _ in range(4))
         op = family_deg1(c3, c2, c1, d1, -1)
         assert op.a00 == Poly2.const((c1 - d1) ** 2 / 4)
-        assert is_exactly_factorizable(op, ROOT_MINUS)
+        assert residual(op, ROOT_MINUS).r == op.a00
         values, ok = exactness_system_deg1(op, ROOT_MINUS)
         assert ok and all(v == 0 for v in values)
     _pass(5, "100 random affine-family members: exact, all six residuals zero, "

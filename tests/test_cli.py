@@ -227,6 +227,24 @@ class TestExitCodes:
         assert (status, err) == (65, f"bkfact: input error: batch line 3: {message}\n")
         assert out == run(capsys, "residual", "--a10=x")[1] * 2
 
+    @pytest.mark.parametrize("argv", [
+        ["residual", "--a10", "7" * 2500 + "*x"],  # R squares a10's coefficient
+        ["certify", "--a00", "x^32", "--m", "9" * 140, "--eps", "1/2"],  # witness value
+    ])
+    def test_results_past_int_string_limit(self, capsys, tmp_path, argv):
+        # The parser bounds the operator's coefficients, not what is computed
+        # from them; a result too long to print is an input error.
+        status, out, err = run(capsys, *argv)
+        assert (status, out) == (65, "")
+        assert err.startswith("bkfact: input error: Exceeds the limit (4300 digits)")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        batch = tmp_path / "batch.txt"
+        batch.write_text("--a00 0\n" + shlex.join(argv[1:]) + "\n")
+        status, out, err = run(capsys, argv[0], "--input", str(batch))
+        assert (status, out) == (65, run(capsys, argv[0], "--a00", "0")[1])
+        assert err.startswith("bkfact: input error: batch line 2: Exceeds the limit (4300 digits)")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_input_errors(self, capsys):
         # elliptic symbol: no rational characteristic roots
         assert run(capsys, "residual", "--a02", "1")[0] == 65
@@ -276,6 +294,12 @@ class TestFlags:
         argv = ["certify", "--a00", "1/2*x"] + ["--decimal-as-rational"] * decimals
         assert run(capsys, *argv, "--eps", text) == run(capsys, *argv, "--eps", same_as)
 
+    @pytest.mark.parametrize("argv", [["certify", "--eps"], ["certify", "--a20"],
+                                      ["family", "--root", "1", "--c1"]])
+    def test_zero_denominator(self, capsys, argv):
+        assert run(capsys, *argv, "1/0") == (
+            64, "", "bkfact: usage error: invalid rational '1/0': zero denominator\n")
+
     def test_root_filter(self, capsys):
         status, out, _ = run(capsys, "certify", "--root", "-1", "--format", "json")
         assert status == 0
@@ -301,6 +325,14 @@ class TestFlags:
 
     def test_batch_missing_file(self, capsys):
         assert run(capsys, "certify", "--input", "/nonexistent/batch.txt")[0] == 65
+
+    def test_batch_not_utf8(self, capsys, tmp_path):
+        batch = tmp_path / "batch.txt"
+        batch.write_bytes(b"--a00 0\n--a00 '\xff'\n")
+        status, out, err = run(capsys, "certify", "--input", str(batch))
+        assert (status, out) == (65, "")
+        assert err == ("bkfact: input error: cannot read batch file: 'utf-8' codec can't "
+                       "decode byte 0xff in position 15: invalid start byte\n")
 
     @pytest.mark.parametrize("argv", [["--input", ""], ["--input="]])
     def test_batch_empty_path(self, capsys, argv):
@@ -395,9 +427,22 @@ class TestBatch:
         batch = tmp_path / "batch.txt"
         batch.write_text("--a00 0\n")
         assert run(capsys, "certify", "--inp", str(batch))[:2] == run(capsys, "certify")[:2]
+        assert run(capsys, "certify", f"--input={batch}")[:2] == run(capsys, "certify")[:2]
         batch.write_text(f"--inp={batch}\n")
         status, _, err = run(capsys, "certify", "--input", str(batch))
         assert status == 65 and "batch line 1: --input is not allowed" in err
+
+    @pytest.mark.parametrize("line, flag", [("--input x", "--input"), ("--inp=x", "--input"),
+                                            ("--help", "--help")])
+    @pytest.mark.parametrize("rest", ["", " --bogus"])
+    def test_refused_flags_win_over_other_errors(self, capsys, tmp_path, line, flag, rest):
+        # Checked before the line is parsed, so an unknown flag after it
+        # does not turn the error into a usage error.
+        batch = tmp_path / "batch.txt"
+        batch.write_text(f"--a00 0\n{line}{rest}\n")
+        status, out, err = run(capsys, "certify", "--input", str(batch))
+        assert (status, out) == (65, run(capsys, "certify", "--a00", "0")[1])
+        assert err == f"bkfact: input error: batch line 2: {flag} is not allowed in a batch file\n"
 
     def test_value_errors_name_the_line(self, capsys, tmp_path):
         batch = tmp_path / "batch.txt"

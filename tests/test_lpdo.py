@@ -23,10 +23,8 @@ from bkfact import (
     canonical_residual,
     characteristic_roots,
     compose_first_order,
-    degree_necessary_check,
     exactness_system_deg1,
     family_deg1,
-    is_exactly_factorizable,
     reduced_coeffs,
     residual,
     residual_closed_deg1,
@@ -256,13 +254,13 @@ class TestFamily:
         assert op.a01 == Poly2.affine(-1, 0, -2)
         assert op.a00.is_zero
 
-    def test_family_is_exactly_factorizable(self):
+    def test_family_satisfies_residual_condition(self):
         rng = random.Random(11)
         for _ in range(100):
             args = [rand_frac(rng) for _ in range(4)]
             for omega, root in ((-1, ROOT_MINUS), (1, ROOT_PLUS)):
                 op = family_deg1(*args, omega)
-                assert is_exactly_factorizable(op, root)
+                assert residual(op, root).r == op.a00
                 _, ok = exactness_system_deg1(op, root)
                 assert ok
 
@@ -270,19 +268,18 @@ class TestFamily:
 class TestExactness:
     def test_wave_operator(self):
         op = LPDO2.canonical()
-        assert is_exactly_factorizable(op, ROOT_MINUS)
-        assert is_exactly_factorizable(op, ROOT_PLUS)
+        assert residual(op, ROOT_MINUS).r == op.a00
+        assert residual(op, ROOT_PLUS).r == op.a00
 
     def test_constant_obstruction(self):
         op = LPDO2.canonical(a00=Poly2.const(1))
-        assert not is_exactly_factorizable(op, ROOT_MINUS)
+        assert residual(op, ROOT_MINUS).r != op.a00
 
     def test_degree_check_examples(self):
-        assert degree_necessary_check(LPDO2.canonical(), ROOT_PLUS)  # -1 <= -1
-        op = LPDO2.canonical(a10=X, a00=X * X)
-        assert degree_necessary_check(op, ROOT_PLUS)  # R = 1/2 + x^2/4, degree 2
-        op = LPDO2.canonical(a10=X, a00=X * X * X)
-        assert not degree_necessary_check(op, ROOT_PLUS)
+        # a00 = R needs deg(a00) <= deg(R), with degree -1 for zero.
+        assert residual(LPDO2.canonical(), ROOT_PLUS).r.degree == -1
+        r = residual(LPDO2.canonical(a10=X), ROOT_PLUS).r
+        assert r == Poly2.const(Fraction(1, 2)) + X * X / 4 and r.degree == 2
 
     def test_degree_bound(self):
         # deg(R) <= 2n for coefficients of total degree n.
@@ -455,7 +452,7 @@ class TestReconstruction:
         # 1) a generic member of the affine family satisfies a00 = R yet has a
         #    nonzero BK residual, so no factorization, along either root;
         op = family_deg1(2, 3, 5, 1, -1)
-        assert is_exactly_factorizable(op, ROOT_MINUS)
+        assert residual(op, ROOT_MINUS).r == op.a00
         assert not any(bk_factors(op, root)[2].is_zero for root in (ROOT_MINUS, ROOT_PLUS))
         # 2) an honest composition need not satisfy a00 = R for either root:
         # (Dx - Dy) o (Dx + Dy + x) has a00 = 1 but R(-1) = 1 + x^2 and R(+1) = 0,
@@ -463,5 +460,5 @@ class TestReconstruction:
         composed = compose_first_order(FirstOrderFactor(1, -1, Poly2.zero()),
                                        FirstOrderFactor(1, 1, X))
         assert bk_factors(composed, ROOT_PLUS)[2].is_zero
-        assert not is_exactly_factorizable(composed, ROOT_MINUS)
-        assert not is_exactly_factorizable(composed, ROOT_PLUS)
+        assert residual(composed, ROOT_MINUS).r != composed.a00
+        assert residual(composed, ROOT_PLUS).r != composed.a00
