@@ -13,7 +13,6 @@ from .certify import (
     CertifiedInside,
     CertRequest,
     Extrema,
-    ReducedProblem,
     Unknown,
     UnivQuad,
     Violated,

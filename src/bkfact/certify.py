@@ -98,9 +98,7 @@ def qf_linear(q: UnivQuad) -> bool:
     bounds |c - b| <= 4 and |c + b| <= 4 are necessary and sufficient."""
     if q.a != 0 or q.b == 0:
         raise PreconditionViolatedError("criterion requires a = 0 and b != 0")
-    b, c = q.b, q.c
-    return (c - b + 4 >= 0 and c - b - 4 <= 0
-            and c + b + 4 >= 0 and c + b - 4 <= 0)
+    return _endpoint_conjuncts(q)
 
 
 def qf_nonpos_combined(q: UnivQuad) -> bool:
@@ -174,33 +172,18 @@ def univariate_sufficient(b1: Scalar, b3: Scalar, s1: Scalar, s3: Scalar) -> boo
     return qf_nonpos_combined(q)
 
 
-@dataclass(frozen=True)
-class ReducedProblem:
-    """The six free coefficients of the box problem: a00 = b3*x + b2*y + b1
-    against the residual built from s3*x + s2*y + s1."""
-
-    b1: Fraction
-    b2: Fraction
-    b3: Fraction
-    s1: Fraction
-    s2: Fraction
-    s3: Fraction
-
-    def __post_init__(self):
-        for name in ("b1", "b2", "b3", "s1", "s2", "s3"):
-            object.__setattr__(self, name, as_fraction(getattr(self, name)))
-
-
-def lifted_sufficient(p: ReducedProblem) -> bool:
-    """Sufficient condition for the full box predicate at eps = m = n = 1:
-    both y-coefficients vanish and the remaining y-free instance holds.
+def lifted_sufficient(b1: Scalar, b2: Scalar, b3: Scalar,
+                      s1: Scalar, s2: Scalar, s3: Scalar) -> bool:
+    """Sufficient condition for the full box predicate at eps = m = n = 1 on
+    a00 = b3*x + b2*y + b1 and the residual of s3*x + s2*y + s1 (floats
+    raise TypeError): both y-coefficients vanish and the y-free instance holds.
 
     When b2 = s2 = 0 the difference polynomial has no y terms, so the box
     quantifier collapses to the x interval and the lift is sound (and, with
     the exact constant case above, complete for b2 = s2 = 0 instances).
     """
-    return (p.b2 == 0 and p.s2 == 0
-            and univariate_sufficient(p.b1, p.b3, p.s1, p.s3))
+    b1, b2, b3, s1, s2, s3 = (as_fraction(v) for v in (b1, b2, b3, s1, s2, s3))
+    return b2 == 0 and s2 == 0 and univariate_sufficient(b1, b3, s1, s3)
 
 
 def triangle_sufficient(d: Poly2, box: Box, eps: Scalar) -> bool:
@@ -225,20 +208,18 @@ def triangle_sufficient(d: Poly2, box: Box, eps: Scalar) -> bool:
 
 @dataclass(frozen=True)
 class Extrema:
-    """Exact extrema over the closed box with attainment information.
+    """Exact extrema over the closed box with their attaining points.
 
     The point tuples hold exact attaining points (all corner, edge-vertex
     and isolated critical attainers; one representative point when a whole
-    critical segment attains).  The interior flags are exact: they are true
-    iff some point of the open box attains the corresponding value.
+    critical segment attains, in the open box if the segment meets it), so
+    a value is attained in the open box iff one of its points is there.
     """
 
     min_val: Fraction
     max_val: Fraction
     min_points: tuple[Point, ...]
     max_points: tuple[Point, ...]
-    interior_min_attained: bool
-    interior_max_attained: bool
 
 
 def _chord_middle(p: int, q: int, r: int) -> Optional[Fraction]:
@@ -278,7 +259,7 @@ def quad_box_extrema(d: Poly2, box: Box) -> Extrema:
     lifted, scale = d.lift(m, n)
     a, b, c, du, dv, f = (lifted.get(key, 0)
                           for key in ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)))
-    candidates = [((x, y), Fraction(a + c + f + b * u * v + du * u + dv * v, scale), False)
+    candidates = [((x, y), Fraction(a + c + f + b * u * v + du * u + dv * v, scale))
                   for u, x in ((-1, -m), (1, m)) for v, y in ((-1, -n), (1, n))]
     for s in (-1, 1):
         # Edge v = s restricts to a*u^2 + qb*u + ..., edge u = s to c*v^2 + qb*v + ...
@@ -287,31 +268,28 @@ def quad_box_extrema(d: Poly2, box: Box) -> Extrema:
             if abs(qb) < 2 * abs(lead):
                 t = Fraction(-qb, 2 * lead)
                 candidates.append(((t * m, s * n) if horizontal else (s * m, t * n),
-                                   Fraction(4 * lead * rest - qb * qb, 4 * lead * scale), False))
+                                   Fraction(4 * lead * rest - qb * qb, 4 * lead * scale)))
     det = 4 * a * c - b * b
     if det:
         nu, nv = b * dv - 2 * c * du, b * du - 2 * a * dv
         if abs(nu) <= abs(det) and abs(nv) <= abs(det):
             candidates.append(((Fraction(nu, det) * m, Fraction(nv, det) * n),
-                               Fraction(2 * f * det + du * nu + dv * nv, 2 * det * scale),
-                               abs(nu) < abs(det) and abs(nv) < abs(det)))
+                               Fraction(2 * f * det + du * nu + dv * nv, 2 * det * scale)))
     elif a == b == c == 0:
         if du == dv == 0:  # a constant is attained everywhere; affine d has no critical point
-            candidates.append(((Fraction(0), Fraction(0)), Fraction(f, scale), True))
+            candidates.append(((Fraction(0), Fraction(0)), Fraction(f, scale)))
     elif 2 * a * dv == b * du and b * dv == 2 * c * du:
         p, q, r = (2 * a, b, du) if a else (b, 2 * c, dv)  # det = 0 and a = 0 force b = 0
         u, v = _chord_middle(p, q, r), _chord_middle(q, p, r)
         if u is not None and v is not None:
             # A chord meets the open square iff its midpoint does.
             point = (u * m, v * n)
-            candidates.append((point, d.eval(*point), box.contains_open(*point)))
-    max_val = max(value for _, value, _ in candidates)
-    min_val = min(value for _, value, _ in candidates)
+            candidates.append((point, d.eval(*point)))
+    max_val = max(value for _, value in candidates)
+    min_val = min(value for _, value in candidates)
     return Extrema(min_val=min_val, max_val=max_val,
-                   min_points=tuple(sorted({pt for pt, v, _ in candidates if v == min_val})),
-                   max_points=tuple(sorted({pt for pt, v, _ in candidates if v == max_val})),
-                   interior_min_attained=any(i for _, v, i in candidates if v == min_val),
-                   interior_max_attained=any(i for _, v, i in candidates if v == max_val))
+                   min_points=tuple(sorted({pt for pt, v in candidates if v == min_val})),
+                   max_points=tuple(sorted({pt for pt, v in candidates if v == max_val})))
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +357,7 @@ class CertRequest:
             raise ValueError("depth budget must be nonnegative")
 
 
-def _inward_witness(d: Poly2, boundary_point: Point, eps: Fraction, sign: int
-                    ) -> tuple[Point, Fraction]:
+def _inward_witness(d: Poly2, boundary_point: Point, eps: Fraction, sign: int) -> Violated:
     """Shrink a boundary attainer toward the box center until the violation
     shows up strictly inside.
 
@@ -394,7 +371,7 @@ def _inward_witness(d: Poly2, boundary_point: Point, eps: Fraction, sign: int
         candidate = (s * bx, s * by)
         value = d.eval(*candidate)
         if sign * value >= eps:
-            return candidate, value
+            return Violated(witness=candidate, value=value)
         s = (1 + s) / 2
 
 
@@ -403,31 +380,27 @@ def certify_open_box(request: CertRequest) -> Certificate:
 
     For total degree <= 2 the decision is exact and never Unknown: the
     closed-box extrema are compared against eps with the open-box
-    strictness rule (an extremum equal to eps is tolerated only when it is
-    not attained at any interior point).  Violations return an interior
-    witness: an interior attainer when one exists, otherwise a point pulled
-    inward from a boundary attainer and verified by exact evaluation.
-    Higher degrees delegate to bernstein_certify.
+    strictness rule (an extremum equal to eps is tolerated only when none
+    of its points lies in the open box), the maximum first.  Violations
+    return an interior witness: the first attainer in the open box, else a
+    point pulled inward from the first boundary attainer and verified by
+    exact evaluation.  Higher degrees delegate to bernstein_certify.
     """
     d = request.d
     if d.degree > 2:
         return bernstein_certify(request)
-    eps = request.eps
-    ext = quad_box_extrema(d, request.box)
-    hi_ok = ext.max_val < eps or (ext.max_val == eps and not ext.interior_max_attained)
-    lo_ok = ext.min_val > -eps or (ext.min_val == -eps and not ext.interior_min_attained)
-    if hi_ok and lo_ok:
-        sup_abs = max(ext.max_val, -ext.min_val)
-        return CertifiedInside(margin=eps - sup_abs)
-    if not hi_ok:
-        points, sign = ext.max_points, +1
-    else:
-        points, sign = ext.min_points, -1
-    for point in points:
-        if request.box.contains_open(*point):
-            return Violated(witness=point, value=d.eval(*point))
-    witness, value = _inward_witness(d, points[0], eps, sign)
-    return Violated(witness=witness, value=value)
+    eps, box = request.eps, request.box
+    ext = quad_box_extrema(d, box)
+    for extreme, points, sign in ((ext.max_val, ext.max_points, +1),
+                                  (-ext.min_val, ext.min_points, -1)):
+        if extreme < eps:
+            continue
+        for point in points:
+            if box.contains_open(*point):
+                return Violated(witness=point, value=d.eval(*point))
+        if extreme > eps:
+            return _inward_witness(d, points[0], eps, sign)
+    return CertifiedInside(margin=eps - max(ext.max_val, -ext.min_val))
 
 
 def _touches_only_outer_boundary(coeffs: tuple[tuple[Fraction, ...], ...], eps: Fraction,

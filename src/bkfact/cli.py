@@ -54,7 +54,8 @@ MAX_DEPTH = 16
 MAX_GRID = 1024
 
 
-class UsageError(Exception):
+class UsageError(argparse.ArgumentTypeError):
+    # argparse names the flag when a type function raises this.
     pass
 
 
@@ -72,6 +73,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 # A scalar flag's literal: an integer or p/q, or a finite decimal once the "."
 # check has passed.  Fraction() alone would also take "1e-3" and "1_0".
 _RATIONAL = re.compile(r"\s*[-+]?(?:\d+(?:/\d+|\.\d*)?|\.\d+)\s*")
+_INTEGER = re.compile(r"\s*[-+]?\d+\s*")
 
 
 def _parse_rational(text: str, decimals: bool) -> Fraction:
@@ -83,8 +85,16 @@ def _parse_rational(text: str, decimals: bool) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError as exc:
         raise UsageError(f"invalid rational {text!r}: zero denominator") from exc
-    except ValueError as exc:
-        raise UsageError(f"invalid rational {text!r}: {exc}") from exc
+    except ValueError:  # a digit run past the int-conversion limit; not echoed
+        digits = max(map(len, re.findall(r"\d+", text)))
+        raise UsageError(f"number of {digits} digits is too long") from None
+
+
+def _parse_int(text: str) -> int:
+    # The type of --depth and --grid; int() alone would also take "1_2".
+    if _INTEGER.fullmatch(text) is None:
+        raise UsageError(f"invalid int value: {text!r}")
+    return int(_parse_rational(text, False))
 
 
 def _parse_positive(text: str, decimals: bool, flag: str) -> Fraction:
@@ -132,9 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the exactness residual values and verdict")
     certify = sub.add_parser("certify", parents=[operator_flags, box_flags, output],
                              help="certify |a00 - R| < eps on the open box")
-    certify.add_argument("--depth", type=int, default=DEFAULT_DEPTH,
+    certify.add_argument("--depth", type=_parse_int, default=DEFAULT_DEPTH,
                          help=f"Bernstein subdivision depth (default {DEFAULT_DEPTH})")
-    certify.add_argument("--grid", type=int, default=0,
+    certify.add_argument("--grid", type=_parse_int, default=0,
                          help="falsifier grid resolution, 0 = off (default 0)")
     sub.add_parser("sufficient", parents=[operator_flags, box_flags, output],
                    help="evaluate the theorem1/triangle sufficient conditions only")

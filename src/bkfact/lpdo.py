@@ -87,10 +87,9 @@ CANONICAL_SYMBOL = PrincipalSymbol(Fraction(1), Fraction(0), Fraction(-1))
 
 @dataclass(frozen=True)
 class CharRoot:
-    """A rational characteristic root; simple means 2*a20*omega + a11 != 0."""
+    """A rational characteristic root; residual and bk_factors check it is simple."""
 
     omega: Fraction
-    simple: bool
 
     def __post_init__(self):
         object.__setattr__(self, "omega", as_fraction(self.omega))
@@ -143,8 +142,8 @@ def characteristic_roots(symbol: PrincipalSymbol) -> tuple[CharRoot, CharRoot]:
 
     Raises ZeroLeadingError when a20 = 0 and NoRationalRootsError when the
     discriminant is negative or not a rational square (which covers the
-    elliptic case).  Each root is flagged simple iff the discriminant is
-    nonzero.
+    elliptic case).  The roots are equal, and neither is simple, iff the
+    discriminant is zero.
     """
     if symbol.a20 == 0:
         raise ZeroLeadingError("leading symbol coefficient a20 is zero")
@@ -153,12 +152,11 @@ def characteristic_roots(symbol: PrincipalSymbol) -> tuple[CharRoot, CharRoot]:
     if root is None:
         raise NoRationalRootsError(
             f"characteristic discriminant {disc} has no rational square root")
-    simple = disc != 0
     first = (-symbol.a11 - root) / (2 * symbol.a20)
     second = (-symbol.a11 + root) / (2 * symbol.a20)
     if first > second:
         first, second = second, first
-    return (CharRoot(first, simple), CharRoot(second, simple))
+    return (CharRoot(first), CharRoot(second))
 
 
 def _simple_root_k(symbol: PrincipalSymbol, root: CharRoot) -> Fraction:
@@ -166,7 +164,7 @@ def _simple_root_k(symbol: PrincipalSymbol, root: CharRoot) -> Fraction:
     if symbol.char_value(root.omega) != 0:
         raise ValueError(f"{root.omega} is not a root of the principal symbol")
     k = 2 * symbol.a20 * root.omega + symbol.a11
-    if not root.simple or k == 0:
+    if k == 0:
         raise NotSimpleRootError(f"root {root.omega} is not simple")
     if symbol.a20 == 0:
         raise ZeroLeadingError("leading symbol coefficient a20 is zero")
@@ -176,10 +174,10 @@ def _simple_root_k(symbol: PrincipalSymbol, root: CharRoot) -> Fraction:
 def residual(op: LPDO2, root: CharRoot) -> ResidualTrace:
     """Residual R of op along a simple characteristic root.
 
-    Requires root.simple; the residual condition is that op.a00 equals the
-    returned trace's r.  The drift term is differentiated along the direction
-    of the largest root of the symbol (see the module docstring), which for
-    the canonical symbol is Dx - Dy for both roots.
+    A repeated root raises NotSimpleRootError.  The residual condition is
+    that op.a00 equals the returned r.  The drift term is differentiated
+    along the direction of the largest root of the symbol (see the module
+    docstring), which for the canonical symbol is Dx - Dy for both roots.
     """
     k = _simple_root_k(op.symbol, root)
     # The other root by Vieta; the drift is along the larger of the two.

@@ -19,7 +19,6 @@ from .certify import (
     Certificate,
     CertifiedInside,
     CertRequest,
-    ReducedProblem,
     Unknown,
     Violated,
     certify_open_box,
@@ -121,7 +120,7 @@ def sufficient_conditions(op: LPDO2, root: CharRoot, difference: Poly2, box: Box
     theorem1 = None
     if applicable:
         b1, b2, b3, rc = affine_reduction(op, root)
-        theorem1 = lifted_sufficient(ReducedProblem(b1, b2, b3, rc.s1, rc.s2, rc.s3))
+        theorem1 = lifted_sufficient(b1, b2, b3, rc.s1, rc.s2, rc.s3)
     return theorem1, triangle_sufficient(difference, box, eps)
 
 

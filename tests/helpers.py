@@ -249,13 +249,15 @@ def reference_critical_candidates(d: Poly2, box: Box) -> list[tuple[Point, Fract
     return [(point, d.eval(*point), meets_open)]
 
 
-def reference_quad_extrema(d: Poly2, box: Box) -> Extrema:
+def reference_quad_extrema(d: Poly2, box: Box) -> tuple[Extrema, bool, bool]:
     """Exact extrema of a total-degree <= 2 polynomial on the closed box by
     the restriction route, wholly independent of quad_box_extrema's integer
     lift: corners and edge vertices come from restrict and eval in the
     original coordinates, and so do the isolated stationary point and, for a
     singular gradient system, reference_critical_candidates' line or
-    constant."""
+    constant.  Returns the Extrema and this route's own interior flags for
+    the minimum and the maximum: whether some point of the open box attains
+    them, kept per candidate rather than read off the points."""
     assert d.degree <= 2
     m, n = box.m, box.n
     candidates = [((cx, cy), d.eval(cx, cy), False) for cx in (-m, m) for cy in (-n, n)]
@@ -292,19 +294,19 @@ def reference_quad_extrema(d: Poly2, box: Box) -> Extrema:
 
     max_points, interior_max = attainers(max_val)
     min_points, interior_min = attainers(min_val)
-    return Extrema(min_val=min_val, max_val=max_val,
-                   min_points=min_points, max_points=max_points,
-                   interior_min_attained=interior_min,
-                   interior_max_attained=interior_max)
+    ext = Extrema(min_val=min_val, max_val=max_val, min_points=min_points, max_points=max_points)
+    return ext, interior_min, interior_max
 
 
-def reference_certificate(d: Poly2, box: Box, eps: Fraction, ext: Extrema):
-    """The degree <= 2 certificate from ext = reference_quad_extrema(d, box):
-    the open-box strictness rule, an interior attainer as witness when there
-    is one, else the boundary attainer pulled inward by halving until d.eval
-    shows the violation."""
-    hi_ok = ext.max_val < eps or (ext.max_val == eps and not ext.interior_max_attained)
-    lo_ok = ext.min_val > -eps or (ext.min_val == -eps and not ext.interior_min_attained)
+def reference_certificate(d: Poly2, box: Box, eps: Fraction, ext: Extrema,
+                          interior_min: bool, interior_max: bool):
+    """The degree <= 2 certificate from ext, interior_min, interior_max =
+    reference_quad_extrema(d, box): the open-box strictness rule on the
+    interior flags, an interior attainer as witness when there is one, else
+    the boundary attainer pulled inward by halving until d.eval shows the
+    violation."""
+    hi_ok = ext.max_val < eps or (ext.max_val == eps and not interior_max)
+    lo_ok = ext.min_val > -eps or (ext.min_val == -eps and not interior_min)
     if hi_ok and lo_ok:
         return CertifiedInside(margin=eps - max(ext.max_val, -ext.min_val))
     points, sign = (ext.max_points, 1) if not hi_ok else (ext.min_points, -1)

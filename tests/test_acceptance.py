@@ -17,7 +17,6 @@ from bkfact import (
     Poly2,
     PreconditionViolatedError,
     ReducedCoeffs,
-    ReducedProblem,
     Unknown,
     UnivQuad,
     Violated,
@@ -207,8 +206,7 @@ def test_criterion_06_lifted_condition_never_falsified():
         attempts += 1
         assert attempts < 400_000, "acceptance rate collapsed"
         b1, b3, s1, s3 = (rand_frac(rng, 4, 4) for _ in range(4))
-        problem = ReducedProblem(b1, 0, b3, s1, 0, s3)
-        if not lifted_sufficient(problem):
+        if not lifted_sufficient(b1, 0, b3, s1, 0, s3):
             continue
         accepted += 1
         d = Poly2.affine(b3, 0, b1) - closed_deg1_from_values(s1, 0, s3)

@@ -12,7 +12,6 @@ from bkfact import (
     CertRequest,
     Poly2,
     PreconditionViolatedError,
-    ReducedProblem,
     Unknown,
     UnivQuad,
     Violated,
@@ -193,11 +192,18 @@ class TestReducedSubstitution:
         assert not univariate_sufficient(-1, 0, 0, 0)
 
     def test_lifted_examples(self):
-        zero = ReducedProblem(0, 0, 0, 0, 0, 0)
-        assert lifted_sufficient(zero)
-        assert not lifted_sufficient(ReducedProblem(0, 1, 0, 0, 0, 0))  # b2 gate
-        assert not lifted_sufficient(ReducedProblem(0, 0, 0, 0, Fraction(1, 5), 0))  # s2 gate
-        assert lifted_sufficient(ReducedProblem(Fraction(1, 2), 0, 0, 0, 0, 0))
+        assert lifted_sufficient(0, 0, 0, 0, 0, 0)
+        assert not lifted_sufficient(0, 1, 0, 0, 0, 0)  # b2 gate
+        assert not lifted_sufficient(0, 0, 0, 0, Fraction(1, 5), 0)  # s2 gate
+        assert lifted_sufficient(Fraction(1, 2), 0, 0, 0, 0, 0)
+
+    @pytest.mark.parametrize("position", range(6))
+    def test_lifted_rejects_floats(self, position):
+        # Every position is coerced, also behind a gate that already fails.
+        for args in ([0] * 6, [0, 1, 0, 0, 1, 0]):
+            args[position] = 0.5
+            with pytest.raises(TypeError):
+                lifted_sufficient(*args)
 
 
 class TestTriangle:
@@ -226,29 +232,36 @@ class TestTriangle:
                     assert triangle_sufficient(d, box, eps) == (total < eps)
 
 
+def attained_inside(points, box: Box) -> bool:
+    return any(box.contains_open(*point) for point in points)
+
+
 class TestQuadBoxExtrema:
     def test_bowl(self):
         ext = quad_box_extrema(X * X + Y * Y, UNIT)
         assert (ext.min_val, ext.max_val) == (0, 2)
-        assert ext.interior_min_attained and not ext.interior_max_attained
+        assert attained_inside(ext.min_points, UNIT)
+        assert not attained_inside(ext.max_points, UNIT)
         assert (Fraction(0), Fraction(0)) in ext.min_points
         assert len(ext.max_points) == 4
 
     def test_saddle(self):
         ext = quad_box_extrema(X * Y, UNIT)
         assert (ext.min_val, ext.max_val) == (-1, 1)
-        assert not ext.interior_min_attained and not ext.interior_max_attained
+        assert not attained_inside(ext.min_points, UNIT)
+        assert not attained_inside(ext.max_points, UNIT)
 
     def test_critical_line(self):
         ext = quad_box_extrema(Poly2.const(4) - X * X, Box(1, 7))
         assert ext.max_val == 4
-        assert ext.interior_max_attained  # attained along the segment x = 0
+        assert attained_inside(ext.max_points, Box(1, 7))  # along the segment x = 0
         assert ext.min_val == 3
 
     def test_constant(self):
         ext = quad_box_extrema(Poly2.const(-2), UNIT)
         assert ext.min_val == ext.max_val == -2
-        assert ext.interior_min_attained and ext.interior_max_attained
+        assert attained_inside(ext.min_points, UNIT)
+        assert attained_inside(ext.max_points, UNIT)
 
     def test_critical_point_on_boundary(self):
         # Vertex of (x-1)^2 + y^2 sits on the edge x = 1: a closed-box
@@ -256,7 +269,7 @@ class TestQuadBoxExtrema:
         d = (X - Poly2.const(1)) ** 2 + Y * Y
         ext = quad_box_extrema(d, UNIT)
         assert ext.min_val == 0
-        assert not ext.interior_min_attained
+        assert not attained_inside(ext.min_points, UNIT)
 
     def test_grid_never_beats_exact(self):
         rng = random.Random(19)
@@ -320,14 +333,17 @@ class TestIntegerLiftAgainstReference:
             box = UNIT if k % 3 == 0 else Box(abs(rand_nonzero_frac(rng)),
                                                abs(rand_nonzero_frac(rng)))
             d = _random_quadratic(rng, k % 8, box)
-            ext = reference_quad_extrema(d, box)
-            assert quad_box_extrema(d, box) == ext, (d, box)
+            ext, interior_min, interior_max = reference_quad_extrema(d, box)
+            got = quad_box_extrema(d, box)
+            assert got == ext, (d, box)
+            # A side is attained in the open box iff one of its points lies there.
+            assert attained_inside(got.min_points, box) == interior_min, (d, box)
+            assert attained_inside(got.max_points, box) == interior_max, (d, box)
             # eps = |max| and eps = |min| land exactly on the strictness rule.
             for eps in {abs(ext.max_val), abs(ext.min_val), abs(rand_nonzero_frac(rng))}:
                 if eps > 0:
-                    request = CertRequest(d, box, eps)
-                    assert certify_open_box(request) == reference_certificate(d, box, eps, ext), \
-                        (d, box, eps)
+                    assert certify_open_box(CertRequest(d, box, eps)) == reference_certificate(
+                        d, box, eps, ext, interior_min, interior_max), (d, box, eps)
 
 
 def _rank_one_quadratic(rng: random.Random, k: int, box: Box) -> Poly2:
@@ -384,7 +400,7 @@ class TestRankOneAgainstReference:
                                                abs(rand_nonzero_frac(rng)))
             d = _rank_one_quadratic(rng, k, box)
             line = reference_critical_candidates(d, box)
-            ext = reference_quad_extrema(d, box)
+            ext, interior_min, interior_max = reference_quad_extrema(d, box)
             evaluated.clear()
             assert quad_box_extrema(d, box) == ext, (d, box)
             if d.degree == 2:  # a constant's candidate needs no evaluation
@@ -396,8 +412,8 @@ class TestRankOneAgainstReference:
                 seen["open" if meets_open else
                      "corner" if (abs(x), abs(y)) == (box.m, box.n) else "edge"] += 1
             for eps in {abs(ext.max_val), abs(ext.min_val)} - {0}:
-                assert certify_open_box(CertRequest(d, box, eps)) == \
-                    reference_certificate(d, box, eps, ext), (d, box, eps)
+                assert certify_open_box(CertRequest(d, box, eps)) == reference_certificate(
+                    d, box, eps, ext, interior_min, interior_max), (d, box, eps)
         assert min(seen.values()) > 150, seen
 
 
@@ -681,12 +697,10 @@ class TestSoundness:
                     true_cases += 1
                     assert exact_unit_decision(q)
             elif style == 2:
-                problem = ReducedProblem(rand_frac(rng, 3, 4), 0, rand_frac(rng, 3, 4),
-                                         rand_frac(rng, 3, 4), 0, rand_frac(rng, 3, 4))
-                if lifted_sufficient(problem):
+                b1, b3, s1, s3 = (rand_frac(rng, 3, 4) for _ in range(4))
+                if lifted_sufficient(b1, 0, b3, s1, 0, s3):
                     true_cases += 1
-                    d = difference_from_expansion(problem.b1, problem.b2, problem.b3,
-                                                  problem.s1, problem.s2, problem.s3)
+                    d = difference_from_expansion(b1, 0, b3, s1, 0, s3)
                     cert = certify_open_box(CertRequest(d=d, box=UNIT, eps=1))
                     assert isinstance(cert, CertifiedInside)
             else:

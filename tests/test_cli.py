@@ -355,6 +355,40 @@ class TestFlags:
         batch.write_text("--a00 2\n")
         assert run(capsys, "certify", flag, str(cap + 1), "--input", str(batch))[0] == 64
 
+    @pytest.mark.parametrize("flag, text", [("--depth", "1_2"), ("--grid", "1_6"),
+                                            ("--depth", "4/2"), ("--grid", "2.")])
+    def test_subdivision_flags_take_integers_only(self, capsys, tmp_path, flag, text):
+        # int() alone would run 1_2 at depth 12 and accept 1_6 as 16.
+        message = f"argument {flag}: invalid int value: {text!r}"
+        assert run(capsys, "certify", f"{flag}={text}") == (
+            64, "", f"bkfact: usage error: {message}\n")
+        batch = tmp_path / "batch.txt"
+        batch.write_text(f"--a00 2\n{flag}={text}\n")
+        assert run(capsys, "certify", "--input", str(batch)) == (
+            64, run(capsys, "certify", "--a00", "2")[1],
+            f"bkfact: usage error: batch line 2: {message}\n")
+
+    @pytest.mark.parametrize("text", [" 3 ", "+3", "\u0663", "03"])
+    def test_subdivision_literal_forms(self, capsys, text):
+        argv = ["certify", "--a00", "x^4", "--eps", "1/2"]
+        assert run(capsys, *argv, "--depth", text) == run(capsys, *argv, "--depth", "3")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["certify", "--m", "1/" + "9" * 5000], "number of 5000 digits is too long"),
+        (["certify", "--eps", "9" * 4999 + ".5", "--decimal-as-rational"],
+         "number of 4999 digits is too long"),
+        (["certify", "--a20", "-" + "7" * 4400], "number of 4400 digits is too long"),
+        (["certify", "--depth", "9" * 5000], "argument --depth: number of 5000 digits is too long"),
+    ])
+    def test_overlong_scalar_literal(self, capsys, tmp_path, argv, message):
+        # One short line without the literal or Python's int-limit advice.
+        assert run(capsys, *argv) == (64, "", f"bkfact: usage error: {message}\n")
+        assert len(f"bkfact: usage error: {message}\n") < 200
+        batch = tmp_path / "batch.txt"
+        batch.write_text("--a00 0\n" + shlex.join(argv[1:]) + "\n")
+        assert run(capsys, "certify", "--input", str(batch)) == (
+            64, run(capsys, "certify")[1], f"bkfact: usage error: batch line 2: {message}\n")
+
     def test_degree_cap(self, capsys):
         status, out, err = run(capsys, "certify", "--a00", "(x+1/3*y-2/7)^200")
         assert (status, out) == (65, "")

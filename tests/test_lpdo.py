@@ -41,7 +41,8 @@ ROOT_MINUS, ROOT_PLUS = characteristic_roots(CANONICAL_SYMBOL)
 class TestCharacteristicRoots:
     def test_canonical(self):
         assert (ROOT_MINUS.omega, ROOT_PLUS.omega) == (-1, 1)
-        assert ROOT_MINUS.simple and ROOT_PLUS.simple
+        for root in (ROOT_MINUS, ROOT_PLUS):
+            assert residual(LPDO2.canonical(), root).r.is_zero  # simple: no NotSimpleRootError
 
     def test_elliptic(self):
         with pytest.raises(NoRationalRootsError):
@@ -50,7 +51,9 @@ class TestCharacteristicRoots:
     def test_split_integer_roots(self):
         r1, r2 = characteristic_roots(PrincipalSymbol(1, -3, 2))
         assert (r1.omega, r2.omega) == (1, 2)
-        assert r1.simple and r2.simple
+        op = LPDO2(PrincipalSymbol(1, -3, 2), X, Y, Poly2.zero())
+        for root in (r1, r2):
+            residual(op, root)  # simple: no NotSimpleRootError
 
     def test_zero_leading(self):
         with pytest.raises(ZeroLeadingError):
@@ -62,8 +65,7 @@ class TestCharacteristicRoots:
 
     def test_double_root_not_simple(self):
         r1, r2 = characteristic_roots(PrincipalSymbol(1, 2, 1))
-        assert r1.omega == r2.omega == -1
-        assert not r1.simple
+        assert r1 == r2 and r1.omega == -1
         op = LPDO2(PrincipalSymbol(1, 2, 1), X, Y, Poly2.zero())
         with pytest.raises(NotSimpleRootError):
             residual(op, r1)
@@ -71,7 +73,7 @@ class TestCharacteristicRoots:
     def test_wrong_root_rejected(self):
         op = LPDO2.canonical()
         with pytest.raises(ValueError):
-            residual(op, CharRoot(Fraction(2), True))
+            residual(op, CharRoot(Fraction(2)))
 
 
 class TestResidual:
@@ -149,7 +151,7 @@ class TestResidual:
         # 0*z^2 + z - 1 vanishes at 1 with k = 1, but has no second root.
         op = LPDO2(PrincipalSymbol(0, 1, -1), X, Y, Poly2.zero())
         with pytest.raises(ZeroLeadingError):
-            residual(op, CharRoot(1, True))
+            residual(op, CharRoot(1))
 
     def test_noncanonical_symbol(self):
         # Symbol z^2 - 3z + 2 has roots 1 and 2; exactness is still decided
@@ -433,10 +435,9 @@ class TestReconstruction:
             assert factors is None or factors == (first is not None)
 
     @pytest.mark.parametrize("symbol, root", [
-        (CANONICAL_SYMBOL, CharRoot(2, True)),  # not a root
-        (PrincipalSymbol(1, 2, 1), CharRoot(-1, False)),  # repeated root
-        (CANONICAL_SYMBOL, CharRoot(1, False)),  # a simple root flagged repeated
-        (PrincipalSymbol(0, 1, -1), CharRoot(1, True)),  # no Dxx part
+        (CANONICAL_SYMBOL, CharRoot(2)),  # not a root
+        (PrincipalSymbol(1, 2, 1), CharRoot(-1)),  # repeated root
+        (PrincipalSymbol(0, 1, -1), CharRoot(1)),  # no Dxx part
     ])
     def test_root_errors_match_residual(self, symbol, root):
         op = LPDO2(symbol, X, Y, Poly2.zero())
