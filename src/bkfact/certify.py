@@ -460,10 +460,9 @@ def bernstein_certify(request: CertRequest) -> Certificate:
             continue
         cx = (xlo + xhi) / 2
         cy = (ylo + yhi) / 2
-        if box.contains_open(cx, cy):  # centers on the outer boundary are skipped
-            value = d.eval(cx, cy)
-            if abs(value) >= eps:
-                return Violated(witness=(cx, cy), value=value)
+        value = d.eval(cx, cy)
+        if abs(value) >= eps:
+            return Violated(witness=(cx, cy), value=value)
         if depth < request.max_depth:
             if xhi - xlo >= yhi - ylo:
                 stack.append((cx, xhi, ylo, yhi, depth + 1))

@@ -59,10 +59,6 @@ class UsageError(argparse.ArgumentTypeError):
     pass
 
 
-class InputError(Exception):
-    pass
-
-
 class _ArgumentParser(argparse.ArgumentParser):
     # argparse exits with status 2 by default; route through UsageError
     # so the documented status 64 is used instead.
@@ -97,18 +93,23 @@ def _parse_int(text: str) -> int:
     return int(_parse_rational(text, False))
 
 
-def _parse_positive(text: str, decimals: bool, flag: str) -> Fraction:
-    value = _parse_rational(text, decimals)
-    if value <= 0:
-        raise UsageError(f"{flag} must be positive, got {text!r}")
+def _rational(args, name: str, positive: bool = False) -> Fraction:
+    # A scalar flag's value; its usage errors name the flag as argparse does.
+    text = getattr(args, name)
+    try:
+        value = _parse_rational(text, args.decimal_as_rational)
+    except UsageError as exc:
+        raise UsageError(f"argument --{name}: {exc}") from exc
+    if positive and value <= 0:
+        raise UsageError(f"--{name} must be positive, got {text!r}")
     return value
 
 
-def _parse_poly_arg(text: str, decimals: bool, flag: str) -> Poly2:
+def _poly(args, name: str) -> Poly2:
     try:
-        return parse_poly(text, decimals=decimals)
+        return parse_poly(getattr(args, name), decimals=args.decimal_as_rational)
     except ParseError as exc:
-        raise InputError(f"{flag}: {exc}") from exc
+        raise ValueError(f"--{name}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,57 +138,49 @@ def build_parser() -> argparse.ArgumentParser:
                         help="accept finite decimals and convert them exactly")
 
     sub.add_parser("residual", parents=[operator_flags, output],
-                   help="print the factorization residual per root")
+                   help="print the factorization residual per root",
+                   ).set_defaults(handler=_cmd_residual)
     sub.add_parser("exact", parents=[operator_flags, output],
-                   help="print the exactness residual values and verdict")
+                   help="print the exactness residual values and verdict",
+                   ).set_defaults(handler=_cmd_exact)
     certify = sub.add_parser("certify", parents=[operator_flags, box_flags, output],
                              help="certify |a00 - R| < eps on the open box")
+    certify.set_defaults(handler=_cmd_certify)
     certify.add_argument("--depth", type=_parse_int, default=DEFAULT_DEPTH,
                          help=f"Bernstein subdivision depth (default {DEFAULT_DEPTH})")
     certify.add_argument("--grid", type=_parse_int, default=0,
                          help="falsifier grid resolution, 0 = off (default 0)")
     sub.add_parser("sufficient", parents=[operator_flags, box_flags, output],
-                   help="evaluate the theorem1/triangle sufficient conditions only")
+                   help="evaluate the theorem1/triangle sufficient conditions only",
+                   ).set_defaults(handler=_cmd_sufficient)
 
     family = sub.add_parser("family", parents=[output],
                             help="print a member of the affine family with a00 = R")
-    family.add_argument("--c3", default="0")
-    family.add_argument("--c2", default="0")
-    family.add_argument("--c1", default="0")
-    family.add_argument("--d1", default="0")
+    family.set_defaults(handler=_cmd_family)
+    for flag in ("--c3", "--c2", "--c1", "--d1"):
+        family.add_argument(flag, default="0")
     family.add_argument("--root", default="-1", help="1 or -1 (default -1)")
 
     return parser
 
 
 def _operator_and_roots(args) -> tuple[LPDO2, tuple[CharRoot, ...]]:
-    decimals = args.decimal_as_rational
-    symbol = PrincipalSymbol(
-        _parse_rational(args.a20, decimals),
-        _parse_rational(args.a11, decimals),
-        _parse_rational(args.a02, decimals),
-    )
-    op = LPDO2(
-        symbol,
-        _parse_poly_arg(args.a10, decimals, "--a10"),
-        _parse_poly_arg(args.a01, decimals, "--a01"),
-        _parse_poly_arg(args.a00, decimals, "--a00"),
-    )
+    symbol = PrincipalSymbol(*(_rational(args, name) for name in ("a20", "a11", "a02")))
+    op = LPDO2(symbol, *(_poly(args, name) for name in ("a10", "a01", "a00")))
     roots = characteristic_roots(symbol)
     if args.root == "all":
         return op, roots
-    wanted = _parse_rational(args.root, decimals)
+    wanted = _rational(args, "root")
     for root in roots:
         if root.omega == wanted:
             return op, (root,)
-    raise InputError(f"{args.root} is not a characteristic root "
+    raise ValueError(f"{args.root} is not a characteristic root "
                      f"(roots: {roots[0].omega}, {roots[1].omega})")
 
 
 def _box_and_eps(args) -> tuple[Box, Fraction]:
-    decimals = args.decimal_as_rational
-    box = Box(_parse_positive(args.m, decimals, "--m"), _parse_positive(args.n, decimals, "--n"))
-    return box, _parse_positive(args.eps, decimals, "--eps")
+    box = Box(_rational(args, "m", positive=True), _rational(args, "n", positive=True))
+    return box, _rational(args, "eps", positive=True)
 
 
 def _emit(args, out, payload: dict, lines: list[str]) -> None:
@@ -265,25 +258,15 @@ def _cmd_sufficient(args, out) -> int:
 
 
 def _cmd_family(args, out) -> int:
-    decimals = args.decimal_as_rational
-    omega = None if args.root == "all" else _parse_rational(args.root, decimals)
+    omega = None if args.root == "all" else _rational(args, "root")
     if omega not in (1, -1):
         raise UsageError("family requires --root 1 or --root -1")
-    values = [_parse_rational(getattr(args, name), decimals) for name in ("c3", "c2", "c1", "d1")]
+    values = [_rational(args, name) for name in ("c3", "c2", "c1", "d1")]
     op = family_deg1(*values, omega)
     coeffs = {name: format_poly(getattr(op, name)) for name in ("a10", "a01", "a00")}
     _emit(args, out, {"omega": str(omega), **coeffs},
           [f"{name} = {text}" for name, text in coeffs.items()])
     return EX_OK
-
-
-_HANDLERS = {
-    "residual": _cmd_residual,
-    "exact": _cmd_exact,
-    "certify": _cmd_certify,
-    "sufficient": _cmd_sufficient,
-    "family": _cmd_family,
-}
 
 
 def _names_flag(token: str, flag: str) -> bool:
@@ -322,7 +305,7 @@ def _run_batch(parser, argv: Sequence[str], path: str, out) -> int:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
     except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read batch file: {exc}") from exc
+        raise ValueError(f"cannot read batch file: {exc}") from exc
     statuses = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -335,14 +318,22 @@ def _run_batch(parser, argv: Sequence[str], path: str, out) -> int:
             for word in words:
                 for flag in ("--help", "--input"):
                     if _names_flag("--help" if word == "-h" else word, flag):
-                        raise InputError(f"{flag} is not allowed in a batch file")
+                        raise ValueError(f"{flag} is not allowed in a batch file")
             args = parser.parse_args([*argv, *words])
-            statuses.append(_HANDLERS[args.command](args, out))
+            statuses.append(args.handler(args, out))
         except UsageError as exc:
             raise UsageError(f"batch line {lineno}: {exc}") from exc
-        except (InputError, BkfactError, ValueError) as exc:
-            raise InputError(f"batch line {lineno}: {exc}") from exc
+        except (BkfactError, ValueError) as exc:
+            raise ValueError(f"batch line {lineno}: {_data_message(exc)}") from exc
     return _worst(statuses)
+
+
+def _data_message(exc: Exception) -> str:
+    # The parser bounds the input's integers, so str() refuses only computed ones.
+    if str(exc).startswith("Exceeds the limit"):
+        return (f"a computed result, not the input, has more than "
+                f"{sys.get_int_max_str_digits()} digits and cannot be printed")
+    return str(exc)
 
 
 def _to_devnull(stream) -> None:
@@ -362,7 +353,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if getattr(args, "input", None) is not None:
             status = _run_batch(parser, argv, args.input, out)
         else:
-            status = _HANDLERS[args.command](args, out)
+            status = args.handler(args, out)
         out.flush()  # so that a failure to write the tail is caught here too
         return status
     except BrokenPipeError:
@@ -370,8 +361,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EX_IOERR
     except UsageError as exc:
         message, status = f"usage error: {exc}", EX_USAGE
-    except (InputError, BkfactError, ValueError) as exc:
-        message, status = f"input error: {exc}", EX_DATA
+    except (BkfactError, ValueError) as exc:
+        message, status = f"input error: {_data_message(exc)}", EX_DATA
     try:
         print(f"bkfact: {message}", file=err, flush=True)
     except BrokenPipeError:  # a closed stderr keeps the error status

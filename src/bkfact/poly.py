@@ -288,18 +288,17 @@ class Box:
 
 @dataclass(frozen=True)
 class RangeEnclosure:
-    """Interval [lo, hi] guaranteed to contain the range of a polynomial,
-    and the Bernstein coefficients it was read from (empty if not given)."""
+    """A polynomial's Bernstein coefficients on a rectangle, and their min
+    and max [lo, hi], an interval guaranteed to contain its range there."""
 
-    lo: Fraction
-    hi: Fraction
-    coefficients: tuple[tuple[Fraction, ...], ...] = field(default=(), compare=False, repr=False)
+    coefficients: tuple[tuple[Fraction, ...], ...]
+    lo: Fraction = field(init=False)
+    hi: Fraction = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", as_fraction(self.lo))
-        object.__setattr__(self, "hi", as_fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError("enclosure bounds out of order")
+        values = [b for row in self.coefficients for b in row]
+        object.__setattr__(self, "lo", min(values))
+        object.__setattr__(self, "hi", max(values))
 
 
 def _powers(w: Fraction, d: int) -> list[Fraction]:
@@ -389,9 +388,7 @@ def bernstein_on_rect(p: Poly2, xlo: Scalar, xhi: Scalar, ylo: Scalar, yhi: Scal
     y_basis = _basis(dy)
     columns = [list(column) for column in zip(*(_basis_change(row, y_basis) for row in rows))]
     x_basis = _basis(dx)
-    grid = tuple(zip(*(_basis_change(column, x_basis) for column in columns)))
-    coeffs = [b for row in grid for b in row]
-    return RangeEnclosure(min(coeffs), max(coeffs), grid)
+    return RangeEnclosure(tuple(zip(*(_basis_change(column, x_basis) for column in columns))))
 
 
 def format_poly(p: Poly2) -> str:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bkfact import Box, Poly2, RangeEnclosure, char_diff, format_poly, parse_poly
+from bkfact import Box, Poly2, char_diff, format_poly, parse_poly
 from bkfact.poly import bernstein_on_rect
 from helpers import (Poly1, rand_frac, rand_nonzero_frac, rand_point_in_box, rand_poly2,
                      reference_bernstein_coefficients, restrict)
@@ -303,10 +303,6 @@ class TestBoxTypes:
             Box(0, 1)
         with pytest.raises(ValueError):
             Box(1, Fraction(-1, 2))
-
-    def test_enclosure_validation(self):
-        with pytest.raises(ValueError):
-            RangeEnclosure(1, 0)
 
     def test_open_vs_closed_membership(self):
         box = Box(1, 2)
