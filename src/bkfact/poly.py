@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import comb, lcm
+from operator import mul
 from typing import Mapping, Union
 
 Scalar = Union[int, str, Fraction]
@@ -301,49 +303,44 @@ class RangeEnclosure:
         object.__setattr__(self, "hi", max(values))
 
 
-def _powers(w: Fraction, d: int) -> list[Fraction]:
-    powers = [Fraction(1)]
-    for _ in range(d):
-        powers.append(powers[-1] * w)
-    return powers
+@cache
+def _weights(d: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    # M = lcm(C(d, 0..d)) and W[r][k] = M*C(r, k)/C(d, k), k <= r: power to Bernstein
+    # on [0, 1], times M.  Parsed degrees are at most MAX_DEGREE, so few are built.
+    scale = lcm(*(comb(d, k) for k in range(d + 1)))
+    return scale, tuple(tuple(scale // comb(d, k) * comb(r, k) for k in range(r + 1))
+                        for r in range(d + 1))
 
 
-def _basis(d: int) -> list[list[Fraction]]:
-    # U[r][k] = C(r, k)/C(d, k), 0 <= k <= r <= d: power to Bernstein on [0, 1].
-    return [[Fraction(comb(r, k), comb(d, k)) for k in range(r + 1)] for r in range(d + 1)]
+def _shift(lines: list[list[int]], lo: Fraction, w: Fraction) -> int:
+    """Rewrite in place the integer coefficients a[k] of each polynomial a in
+    z of degree at most d = len(a) - 1 as those of q^d*a((t + s*u)/q) in u,
+    where lo = t/q and w = s/q; return q^d.
 
-
-def _shift(a: list[Fraction], t: Fraction, w_powers: list[Fraction]) -> None:
-    """Rewrite in place the coefficients a[k] of a polynomial in z as those
-    of the polynomial a(t + w*u) in u, given w_powers[k] = w^k.
-
-    The Taylor shift by t is repeated Horner (synthetic) division by z - t,
-    O(e^2) for the highest nonzero index e; scaling a[k] by w^k follows.
+    Scaling a[k] by q^(d - k) gives q^d*a(z/q).  Its Taylor shift by t is
+    repeated Horner (synthetic) division by z - t, O(e^2) for the highest
+    nonzero index e; scaling a[k] by s^k follows.
     """
-    top = len(a) - 1
-    while top > 0 and not a[top]:
-        top -= 1
-    if t:
-        for k in range(top):
-            for i in range(top - 1, k - 1, -1):
-                a[i] += t * a[i + 1]
-    for k in range(1, top + 1):
-        a[k] *= w_powers[k]
-
-
-def _basis_change(a: list[Fraction], basis: list[list[Fraction]]) -> list[Fraction]:
-    """Bernstein coefficients b[r] = sum of basis[r][k]*a[k] over k <= r of
-    the power coefficients a on [0, 1]; zero entries of a are skipped."""
-    nonzero = [(k, c) for k, c in enumerate(a) if k and c]
-    out = []
-    for r, row in enumerate(basis):
-        b = a[0]  # basis[r][0] = 1
-        for k, c in nonzero:
-            if k > r:
-                break
-            b += row[k] * c
-        out.append(b)
-    return out
+    q = lcm(lo.denominator, w.denominator)
+    t = lo.numerator * (q // lo.denominator)
+    s = w.numerator * (q // w.denominator)
+    for a in lines:
+        top = len(a) - 1
+        power = 1
+        for k in range(top - 1, -1, -1):
+            power *= q
+            a[k] *= power
+        while top > 0 and not a[top]:
+            top -= 1
+        if t:
+            for k in range(top):
+                for i in range(top - 1, k - 1, -1):
+                    a[i] += t * a[i + 1]
+        power = 1
+        for k in range(1, top + 1):
+            power *= s
+            a[k] *= power
+    return q ** (len(lines[0]) - 1)
 
 
 def bernstein_on_rect(p: Poly2, xlo: Scalar, xhi: Scalar, ylo: Scalar, yhi: Scalar) -> RangeEnclosure:
@@ -359,12 +356,14 @@ def bernstein_on_rect(p: Poly2, xlo: Scalar, xhi: Scalar, ylo: Scalar, yhi: Scal
     tightens under subdivision, but is generally not tight before it (x^2
     on [-1, 1] encloses to [-1, 1]).
 
-    The transform is separable (Titi & Garloff 2019): p's coefficients are
-    placed in a dense (dx+1) x (dy+1) grid; each column is Taylor-shifted to
-    xlo by Horner and scaled by powers of wx, each row likewise in y; then
-    U[r][k] = C(r, k)/C(d, k) is applied along y and along x.  Each pass
-    costs O(d^2) per line, O(dx*dy*(dx + dy)) Fraction operations in all
-    (the direct double sum is O(dx^2*dy^2)).
+    The transform is separable (Titi & Garloff 2019) and runs in integers
+    (Garloff 1986): p's numerators over their lcm L fill a dense
+    (dx+1) x (dy+1) grid; each column is shifted and scaled to
+    qx^dx*a((tx + sx*u)/qx), with xlo = tx/qx and wx = sx/qx, each row
+    likewise in y; the weights M_d*C(r, k)/C(d, k) are applied along y and
+    along x, and b[r][s] is the result over L*qx^dx*qy^dy*M_dx*M_dy.  Each
+    pass costs O(d^2) per line, O(dx*dy*(dx + dy)) integer operations in all
+    (the direct double sum is O(dx^2*dy^2)), plus one Fraction per b[r][s].
     """
     x0 = as_fraction(xlo)
     y0 = as_fraction(ylo)
@@ -375,20 +374,20 @@ def bernstein_on_rect(p: Poly2, xlo: Scalar, xhi: Scalar, ylo: Scalar, yhi: Scal
     dx = max(p.x_degree, 0)
     dy = max(p.y_degree, 0)
 
-    columns = [[Fraction(0)] * (dx + 1) for _ in range(dy + 1)]
+    denominator = lcm(*[c.denominator for c in p._terms.values()])
+    columns = [[0] * (dx + 1) for _ in range(dy + 1)]
     for (i, j), c in p._terms.items():
-        columns[j][i] = c
-    x_powers = _powers(wx, dx)
-    for column in columns:
-        _shift(column, x0, x_powers)
+        columns[j][i] = c.numerator * (denominator // c.denominator)
+    denominator *= _shift(columns, x0, wx)
     rows = [list(row) for row in zip(*columns)]
-    y_powers = _powers(wy, dy)
-    for row in rows:
-        _shift(row, y0, y_powers)
-    y_basis = _basis(dy)
-    columns = [list(column) for column in zip(*(_basis_change(row, y_basis) for row in rows))]
-    x_basis = _basis(dx)
-    return RangeEnclosure(tuple(zip(*(_basis_change(column, x_basis) for column in columns))))
+    denominator *= _shift(rows, y0, wy)
+    my, y_weights = _weights(dy)
+    columns = zip(*[[sum(map(mul, weights, row)) for weights in y_weights] for row in rows])
+    mx, x_weights = _weights(dx)
+    grid = zip(*[[sum(map(mul, weights, column)) for weights in x_weights] for column in columns])
+    denominator *= mx * my
+    # tuple() of lists: a tuple built from a generator is resized, and piles up on the free list.
+    return RangeEnclosure(tuple([tuple([Fraction(b, denominator) for b in row]) for row in grid]))
 
 
 def format_poly(p: Poly2) -> str:

@@ -272,6 +272,16 @@ class TestBernsteinAgainstReference:
         ("(3/2*x*y - x + 5/4*y^2 - 1)^8", (Fraction(-5, 7), Fraction(5, 7), Fraction(-2, 3),
                                           Fraction(2, 3))),
         ("(x + 1/3*y - 2/7)^32", (Fraction(3, 8), Fraction(3, 4), Fraction(-2, 3), 0)),
+        # Degree 16 on a depth-12 node: (-3/2, 3/2) x (-5/7, 5/7) halved six
+        # times along each side.
+        ("(x^2 - 2/3*x*y + 1/5*y - 3/7)^8", (Fraction(15, 64), Fraction(9, 32),
+                                             Fraction(65, 224), Fraction(5, 16))),
+        # xlo and the width have coprime denominators: 2/9 and 3/10, -5/7 and 4/11.
+        ("(3/2*x*y - x + 5/4*y^2 - 1)^3", (Fraction(2, 9), Fraction(47, 90), Fraction(-5, 7),
+                                          Fraction(-27, 77))),
+        # Pairwise distinct coefficient denominators.
+        ("1/2*x^3*y - 2/3*x^2*y^2 + 3/5*x*y^3 - 4/7*y^4 + 5/11*x^2 - 6/13*y + 7/17",
+         (Fraction(-3, 4), Fraction(1, 6), Fraction(-2, 5), Fraction(5, 9))),
     ])
     def test_high_degree(self, text, rect):
         assert_matches_reference(parse_poly(text), rect)
