@@ -403,18 +403,18 @@ def certify_open_box(request: CertRequest) -> Certificate:
     return CertifiedInside(margin=eps - max(ext.max_val, -ext.min_val))
 
 
-def _touches_only_outer_boundary(coeffs: tuple[tuple[Fraction, ...], ...], eps: Fraction,
+def _touches_only_outer_boundary(grid: tuple[tuple[int, ...], ...], level: int,
                                  outer_x: tuple[bool, bool], outer_y: tuple[bool, bool]
                                  ) -> bool:
-    """For Bernstein coefficients all in [-eps, eps]: true iff some face's
-    block equals +-eps and every such face lies on the outer box boundary
+    """For Bernstein numerators all in [-level, level]: true iff some face's
+    block equals +-level and every such face lies on the outer box boundary
     (outer_x: left and right sides on x = -m and x = m; outer_y likewise)."""
     reached = False
-    for rows, on_x in ((coeffs[:1], outer_x[0]), (coeffs[-1:], outer_x[1]), (coeffs, False)):
+    for rows, on_x in ((grid[:1], outer_x[0]), (grid[-1:], outer_x[1]), (grid, False)):
         for cols, on_y in ((slice(1), outer_y[0]), (slice(-1, None), outer_y[1]),
                            (slice(None), False)):
             block = {b for row in rows for b in row[cols]}
-            if len(block) == 1 and abs(block.pop()) == eps:
+            if len(block) == 1 and abs(block.pop()) == level:
                 if not (on_x or on_y):
                     return False
                 reached = True
@@ -441,6 +441,10 @@ def bernstein_certify(request: CertRequest) -> Certificate:
     runs out.  Remaining rectangles produce Unknown with the largest
     enclosure overshoot as the gap.  The traversal order is fixed, so
     results are deterministic.
+
+    Nodes are decided in integers on the enclosure's numerators over D: for
+    top = D*max|b| and eps = p/q, max|b| < eps is top*q < p*D, and at
+    equality the face rule compares the numerators with top = eps*D.
     """
     d = request.d
     eps = request.eps
@@ -452,11 +456,13 @@ def bernstein_certify(request: CertRequest) -> Certificate:
     while stack:
         xlo, xhi, ylo, yhi, depth = stack.pop()
         enclosure = bernstein_on_rect(d, xlo, xhi, ylo, yhi)
-        bound = max(enclosure.hi, -enclosure.lo)
-        if bound < eps or (bound == eps and _touches_only_outer_boundary(
-                enclosure.coefficients, eps,
-                (xlo == -box.m, xhi == box.m), (ylo == -box.n, yhi == box.n))):
-            worst_inside = max(worst_inside, bound)
+        grid, scale = enclosure.numerators, enclosure.denominator
+        top = max(max(map(max, grid)), -min(map(min, grid)))
+        lhs, rhs = top * eps.denominator, eps.numerator * scale
+        if lhs < rhs or (lhs == rhs and _touches_only_outer_boundary(
+                grid, top, (xlo == -box.m, xhi == box.m), (ylo == -box.n, yhi == box.n))):
+            if top * worst_inside.denominator > worst_inside.numerator * scale:
+                worst_inside = Fraction(top, scale)
             continue
         cx = (xlo + xhi) / 2
         cy = (ylo + yhi) / 2
@@ -471,7 +477,7 @@ def bernstein_certify(request: CertRequest) -> Certificate:
                 stack.append((xlo, xhi, cy, yhi, depth + 1))
                 stack.append((xlo, xhi, ylo, cy, depth + 1))
         else:
-            overshoots.append(bound - eps)
+            overshoots.append(Fraction(top, scale) - eps)
     if overshoots:
         return Unknown(gap=max(overshoots))
     return CertifiedInside(margin=eps - worst_inside)

@@ -13,7 +13,7 @@ x-degree descending), so e.g. x^2 comes before x*y before y^2 before x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, lcm
@@ -215,34 +215,30 @@ class Poly2:
         return Poly2._of(out)
 
     def eval(self, x0: Scalar, y0: Scalar) -> Fraction:
-        """Exact value at the point (x0, y0)."""
-        xv = as_fraction(x0)
-        yv = as_fraction(y0)
-        xpow: dict[int, Fraction] = {0: Fraction(1)}
-        ypow: dict[int, Fraction] = {0: Fraction(1)}
-        total = Fraction(0)
-        for (i, j), coeff in self._terms.items():
-            if i not in xpow:
-                xpow[i] = xv ** i
-            if j not in ypow:
-                ypow[j] = yv ** j
-            total += coeff * xpow[i] * ypow[j]
-        return total
+        """Exact value at the point (x0, y0).
+
+        Runs in integers: the lift at (x0, y0) has coefficients summing to
+        L*p(x0, y0), so the one Fraction is built at the end.
+        """
+        coeffs, scale = self.lift(x0, y0)
+        return Fraction(sum(coeffs.values()), scale)
 
     def lift(self, m: Scalar, n: Scalar) -> tuple[dict[tuple[int, int], int], int]:
         """Integer coefficients of p(m*u, n*v) over one common denominator.
 
         Returns (coeffs, L) with L*p(m*u, n*v) = sum of coeffs[(i, j)]*u^i*v^j,
-        every coefficient an int and L the lcm of the scaled terms'
-        denominators (1 for the zero polynomial).
+        every coefficient an int and L > 0 (1 for the zero polynomial).  With
+        p's numerators over their lcm, m = a/b and n = c/e, each term is scaled
+        by a^i*b^(dx - i)*c^j*e^(dy - j) and L by b^dx*e^dy, so L need not be
+        the least common denominator.
         """
-        mv, nv = as_fraction(m), as_fraction(n)
-        nums, dens = {}, {}
-        for (i, j), coeff in self._terms.items():
-            nums[(i, j)] = coeff.numerator * mv.numerator ** i * nv.numerator ** j
-            dens[(i, j)] = coeff.denominator * mv.denominator ** i * nv.denominator ** j
-        scale = lcm(*dens.values())
-        return {key: num * (scale // dens[key]) for key, num in nums.items()}, scale
+        (a, b), (c, e) = as_fraction(m).as_integer_ratio(), as_fraction(n).as_integer_ratio()
+        nums, scale = _numerators(self)
+        dx, dy = max(self.x_degree, 0), max(self.y_degree, 0)
+        xs = [a ** i * b ** (dx - i) for i in range(dx + 1)]
+        ys = [c ** j * e ** (dy - j) for j in range(dy + 1)]
+        coeffs = {(i, j): num * xs[i] * ys[j] for (i, j), num in nums.items()}
+        return coeffs, scale * b ** dx * e ** dy
 
     # -- display ------------------------------------------------------------
 
@@ -251,6 +247,12 @@ class Poly2:
 
     def __repr__(self) -> str:
         return f"Poly2({format_poly(self)})"
+
+
+def _numerators(p: Poly2) -> tuple[dict[tuple[int, int], int], int]:
+    # p's coefficients as integers over their lcm L: L*p = sum of a[(i, j)]*x^i*y^j.
+    scale = lcm(*[c.denominator for c in p._terms.values()])
+    return {key: c.numerator * (scale // c.denominator) for key, c in p._terms.items()}, scale
 
 
 def char_diff(p: Poly2, omega: Scalar) -> Poly2:
@@ -290,17 +292,25 @@ class Box:
 
 @dataclass(frozen=True)
 class RangeEnclosure:
-    """A polynomial's Bernstein coefficients on a rectangle, and their min
-    and max [lo, hi], an interval guaranteed to contain its range there."""
+    """A polynomial's Bernstein coefficients on a rectangle, held as integer
+    numerators over one positive denominator, b[r][s] = numerators[r][s] /
+    denominator; their min and max [lo, hi] enclose its range there."""
 
-    coefficients: tuple[tuple[Fraction, ...], ...]
-    lo: Fraction = field(init=False)
-    hi: Fraction = field(init=False)
+    numerators: tuple[tuple[int, ...], ...]
+    denominator: int
 
-    def __post_init__(self):
-        values = [b for row in self.coefficients for b in row]
-        object.__setattr__(self, "lo", min(values))
-        object.__setattr__(self, "hi", max(values))
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(min(map(min, self.numerators)), self.denominator)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(max(map(max, self.numerators)), self.denominator)
+
+    @property
+    def coefficients(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The b[r][s] as Fractions."""
+        return tuple(tuple(Fraction(b, self.denominator) for b in row) for row in self.numerators)
 
 
 @cache
@@ -346,7 +356,8 @@ def _shift(lines: list[list[int]], lo: Fraction, w: Fraction) -> int:
 def bernstein_on_rect(p: Poly2, xlo: Scalar, xhi: Scalar, ylo: Scalar, yhi: Scalar) -> RangeEnclosure:
     """Range enclosure of p on the closed rectangle [xlo, xhi] x [ylo, yhi],
     with the tensor-product Bernstein coefficients b[r][s] it is read from,
-    0 <= r <= x-degree, 0 <= s <= y-degree, as its coefficients.
+    0 <= r <= x-degree, 0 <= s <= y-degree, as integer numerators over one
+    positive denominator.
 
     The rectangle is mapped affinely onto the unit square (x = xlo + wx*u,
     y = ylo + wy*v), so that p = sum of b[r][s]*B_r(u)*B_s(v) with the
@@ -363,7 +374,7 @@ def bernstein_on_rect(p: Poly2, xlo: Scalar, xhi: Scalar, ylo: Scalar, yhi: Scal
     likewise in y; the weights M_d*C(r, k)/C(d, k) are applied along y and
     along x, and b[r][s] is the result over L*qx^dx*qy^dy*M_dx*M_dy.  Each
     pass costs O(d^2) per line, O(dx*dy*(dx + dy)) integer operations in all
-    (the direct double sum is O(dx^2*dy^2)), plus one Fraction per b[r][s].
+    (the direct double sum is O(dx^2*dy^2)); no Fraction is built.
     """
     x0 = as_fraction(xlo)
     y0 = as_fraction(ylo)
@@ -374,10 +385,10 @@ def bernstein_on_rect(p: Poly2, xlo: Scalar, xhi: Scalar, ylo: Scalar, yhi: Scal
     dx = max(p.x_degree, 0)
     dy = max(p.y_degree, 0)
 
-    denominator = lcm(*[c.denominator for c in p._terms.values()])
+    nums, denominator = _numerators(p)
     columns = [[0] * (dx + 1) for _ in range(dy + 1)]
-    for (i, j), c in p._terms.items():
-        columns[j][i] = c.numerator * (denominator // c.denominator)
+    for (i, j), a in nums.items():
+        columns[j][i] = a
     denominator *= _shift(columns, x0, wx)
     rows = [list(row) for row in zip(*columns)]
     denominator *= _shift(rows, y0, wy)
@@ -386,8 +397,8 @@ def bernstein_on_rect(p: Poly2, xlo: Scalar, xhi: Scalar, ylo: Scalar, yhi: Scal
     mx, x_weights = _weights(dx)
     grid = zip(*[[sum(map(mul, weights, column)) for weights in x_weights] for column in columns])
     denominator *= mx * my
-    # tuple() of lists: a tuple built from a generator is resized, and piles up on the free list.
-    return RangeEnclosure(tuple([tuple([Fraction(b, denominator) for b in row]) for row in grid]))
+    # tuple() of a list: a tuple built from an iterator is resized, and piles up on the free list.
+    return RangeEnclosure(tuple(list(grid)), denominator)
 
 
 def format_poly(p: Poly2) -> str:

@@ -334,6 +334,24 @@ def reference_grid_witness(d: Poly2, box: Box, eps: Fraction, grid_k: int):
     return None
 
 
+# Poly2.eval as it was, summed term by term in Fractions, kept as the oracle of
+# its integer form.
+def reference_eval(p: Poly2, x0: Scalar, y0: Scalar) -> Fraction:
+    """Exact value of p at the point (x0, y0)."""
+    xv = as_fraction(x0)
+    yv = as_fraction(y0)
+    xpow: dict[int, Fraction] = {0: Fraction(1)}
+    ypow: dict[int, Fraction] = {0: Fraction(1)}
+    total = Fraction(0)
+    for (i, j), coeff in p.terms():
+        if i not in xpow:
+            xpow[i] = xv ** i
+        if j not in ypow:
+            ypow[j] = yv ** j
+        total += coeff * xpow[i] * ypow[j]
+    return total
+
+
 # The power-to-Bernstein conversion as it was (O(dx^2*dy^2) per rectangle),
 # kept as the oracle of the coefficients of bkfact.poly.bernstein_on_rect.
 def reference_bernstein_coefficients(p: Poly2, xlo: Scalar, xhi: Scalar, ylo: Scalar,

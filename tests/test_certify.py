@@ -496,6 +496,22 @@ class TestBernsteinCertify:
         cert = bernstein_certify(CertRequest(d=d, box=UNIT, eps=eps, max_depth=depth))
         assert cert == CertifiedInside(margin=0)
 
+    @pytest.mark.parametrize("n, depth, expected", [
+        # 2/3*(1 - x^2/2 - 4/9*(y - 1/2)^2) reaches eps only at (0, 1/2), a
+        # corner of the nodes beside it and the center of none.  Inside
+        # (-1, 1)^2 those nodes stay undecided down to the budget.
+        (1, 6, Unknown(gap=Fraction(0))),
+        # On (-1, 1) x (-1/2, 1/2) the same corner lies on y = n: the depth-1
+        # nodes certify with max |b| = eps.
+        (Fraction(1, 2), 1, CertifiedInside(margin=Fraction(0))),
+    ])
+    def test_leaf_at_eps_is_strict(self, n, depth, expected):
+        d = (Poly2.const(1) - X * X / 2 - (Y - Poly2.const(Fraction(1, 2))) ** 2 * Fraction(4, 9)
+             ) * Fraction(2, 3)
+        cert = bernstein_certify(CertRequest(d=d, box=Box(1, n), eps=Fraction(2, 3),
+                                             max_depth=depth))
+        assert cert == expected
+
     def test_undecided_within_budget(self):
         cert = bernstein_certify(CertRequest(d=X ** 4, box=UNIT, eps=Fraction(1, 2),
                                              max_depth=0))

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from bkfact import Box, Poly2, char_diff, format_poly, parse_poly
 from bkfact.poly import bernstein_on_rect
 from helpers import (Poly1, rand_frac, rand_nonzero_frac, rand_point_in_box, rand_poly2,
-                     reference_bernstein_coefficients, restrict)
+                     reference_bernstein_coefficients, reference_eval, restrict)
 
 X = Poly2.var("x")
 Y = Poly2.var("y")
@@ -136,6 +136,21 @@ class TestEvalRestrict:
         quarter_square = (X + Y) * (X + Y) / 4
         assert quarter_square.eval(1, 1) == 1
 
+    def test_eval_against_reference(self):
+        rng = random.Random(18)
+        coordinates = [0, -3, "-2/3", Fraction(-7, 3), Fraction(9, 16), Fraction(-35, 11),
+                       10 ** 30 + 1, Fraction(-(2 ** 61), 3 ** 40), Fraction(10 ** 25, 7 ** 20)]
+        for index in range(700):
+            shape = ("zero", "constant", "x-only", "y-only", "dense")[index % 5]
+            p = _shaped_poly(rng, shape, rng.randint(0, 8), rng.randint(0, 8))
+            x0 = rng.choice(coordinates) if index % 3 else rand_frac(rng, 99, 97)
+            y0 = rng.choice(coordinates) if index % 4 else rand_frac(rng, 89, 83)
+            value = p.eval(x0, y0)
+            assert value == reference_eval(p, x0, y0), (p, x0, y0)
+            assert type(value) is Fraction
+        with pytest.raises(TypeError):
+            (X + Y).eval(0.5, 0)
+
     def test_restrict_examples(self):
         assert restrict(X * X + Y * Y, "y", 1) == Poly1([1, 0, 1])
         assert restrict(X * Y, "x", 0) == Poly1([])
@@ -245,12 +260,19 @@ def _dyadic_rectangle(rng: random.Random) -> tuple[Fraction, ...]:
 
 def assert_matches_reference(p: Poly2, rect: tuple[Fraction, ...]) -> None:
     enclosure = bernstein_on_rect(p, *rect)
+    expected = reference_bernstein_coefficients(p, *rect)
+    numerators, denominator = enclosure.numerators, enclosure.denominator
+    assert type(denominator) is int and denominator > 0
+    assert all(type(b) is int for row in numerators for b in row), (p, rect)
+    assert [list(row) for row in numerators] == [[b * denominator for b in row]
+                                                 for row in expected], (p, rect)
     got = enclosure.coefficients
-    assert [list(row) for row in got] == reference_bernstein_coefficients(p, *rect), (p, rect)
-    assert (enclosure.lo, enclosure.hi) == (min(map(min, got)), max(map(max, got)))
+    assert [list(row) for row in got] == expected, (p, rect)
+    assert all(type(b) is Fraction for row in got for b in row), (p, rect)
+    assert type(enclosure.lo) is Fraction and type(enclosure.hi) is Fraction
+    assert (enclosure.lo, enclosure.hi) == (min(map(min, expected)), max(map(max, expected)))
     assert len(got) == max(p.x_degree, 0) + 1
     assert all(len(row) == max(p.y_degree, 0) + 1 for row in got)
-    assert all(type(b) is Fraction for row in got for b in row), (p, rect)
 
 
 class TestBernsteinAgainstReference:

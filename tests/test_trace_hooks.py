@@ -86,8 +86,18 @@ def test_one_enclosure_per_node(monkeypatch, a00, eps, depth, kind):
     monkeypatch.setattr(helpers, "bernstein_on_rect", counted)
     expected = helpers.reference_bernstein_certify(request)
     monkeypatch.undo()
-    with _load_spans().Tracer() as tracer:
+    spans, observed = _load_spans(), []
+    observe = spans.Tracer._observe_enclosure
+
+    def recorded(self, args, result):
+        observed.append(result)
+        observe(self, args, result)
+
+    monkeypatch.setattr(spans.Tracer, "_observe_enclosure", recorded)
+    with spans.Tracer() as tracer:
         got = certify.bernstein_certify(request)
     assert got == expected and got.kind == kind
     assert len(nodes) > 1
-    assert tracer.layer_metrics()["poly.enclosures"] == len(nodes)
+    assert tracer.layer_metrics()["poly.enclosures"] == len(nodes) == len(observed)
+    # The tracer reads each enclosure's lo and hi as Fractions.
+    assert all(type(e.lo) is Fraction and type(e.hi) is Fraction for e in observed)
