@@ -450,7 +450,7 @@ def bernstein_certify(request: CertRequest) -> Certificate:
     eps = request.eps
     box = request.box
     worst_inside = Fraction(0)
-    overshoots: list[Fraction] = []
+    worst_leaf = Fraction(0)  # a depth-capped leaf's max|b| is at least eps > 0
     stack: list[tuple[Fraction, Fraction, Fraction, Fraction, int]] = [
         (-box.m, box.m, -box.n, box.n, 0)]
     while stack:
@@ -476,10 +476,10 @@ def bernstein_certify(request: CertRequest) -> Certificate:
             else:
                 stack.append((xlo, xhi, cy, yhi, depth + 1))
                 stack.append((xlo, xhi, ylo, cy, depth + 1))
-        else:
-            overshoots.append(Fraction(top, scale) - eps)
-    if overshoots:
-        return Unknown(gap=max(overshoots))
+        elif top * worst_leaf.denominator > worst_leaf.numerator * scale:
+            worst_leaf = Fraction(top, scale)
+    if worst_leaf:
+        return Unknown(gap=worst_leaf - eps)
     return CertifiedInside(margin=eps - worst_inside)
 
 

@@ -270,8 +270,9 @@ def _cmd_family(args, out) -> int:
 
 
 def _names_flag(token: str, flag: str) -> bool:
-    # argparse accepts any unambiguous prefix, so --inp FILE is --input too.
+    # argparse takes any unambiguous prefix (--inp FILE is --input) and -h for --help.
     name = token.partition("=")[0]
+    name = "--help" if name == "-h" else name
     return len(name) > 2 and flag.startswith(name)
 
 
@@ -317,7 +318,7 @@ def _run_batch(parser, argv: Sequence[str], path: str, out) -> int:
             # and a line's --input would be ignored.
             for word in words:
                 for flag in ("--help", "--input"):
-                    if _names_flag("--help" if word == "-h" else word, flag):
+                    if _names_flag(word, flag):
                         raise ValueError(f"{flag} is not allowed in a batch file")
             args = parser.parse_args([*argv, *words])
             statuses.append(args.handler(args, out))

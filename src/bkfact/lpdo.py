@@ -161,13 +161,13 @@ def characteristic_roots(symbol: PrincipalSymbol) -> tuple[CharRoot, CharRoot]:
 
 def _simple_root_k(symbol: PrincipalSymbol, root: CharRoot) -> Fraction:
     """k = 2*a20*omega + a11 for a simple root omega of a symbol with a20 != 0."""
+    if symbol.a20 == 0:
+        raise ZeroLeadingError("leading symbol coefficient a20 is zero")
     if symbol.char_value(root.omega) != 0:
         raise ValueError(f"{root.omega} is not a root of the principal symbol")
     k = 2 * symbol.a20 * root.omega + symbol.a11
     if k == 0:
         raise NotSimpleRootError(f"root {root.omega} is not simple")
-    if symbol.a20 == 0:
-        raise ZeroLeadingError("leading symbol coefficient a20 is zero")
     return k
 
 

@@ -14,7 +14,8 @@ There is no implicit multiplication and no division operator: a slash is
 only valid inside a rational literal such as "1/2".  Exponents must be
 nonnegative integers; "x^-1" or "x^1/2" raise ExponentError.  Whitespace is
 ignored between tokens.  On polynomials of total degree at most MAX_DEGREE,
-parse_poly is the exact inverse of bkfact.poly.format_poly.
+parse_poly is the exact inverse of bkfact.poly.format_poly.  It builds
+values with Poly2's public operations only.
 
 Numbers are runs of decimal digits (str.isdecimal, so "\u0663" is 3 but
 "\u00b2" is an unexpected character).  A number longer than the
@@ -55,7 +56,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import ExponentError, ParseError
-from .poly import Poly2, Terms
+from .poly import Poly2
 
 MAX_DEGREE = 32
 # Parentheses may nest this deep: at five parser frames per level, 100 levels
@@ -76,6 +77,7 @@ _TOKEN = re.compile(r"(\d+)|([xy])|([-+*/^()])|(\S)")
 _DECIMAL_TOKEN = re.compile(r"(\d+(?:\.\d*)?|\.\d+)|([xy])|([-+*/^()])|(\S)")
 _KINDS = (None, _NUMBER, _VAR, None)
 _Token = tuple[str, str, int]  # (kind, text, position)
+_VARIABLES = {name: Poly2.var(name) for name in "xy"}  # immutable, so shared
 
 
 def _tokenize(text: str, decimals: bool) -> list[_Token]:
@@ -104,20 +106,16 @@ def _number(token: _Token) -> int | Fraction:
         raise ParseError(f"number of {len(text)} digits is too long", position) from None
 
 
-def _degree(terms: Terms) -> int:
-    return max((i + j for i, j in terms), default=-1)
-
-
-def _coefficient_bits(terms: Terms) -> tuple[int, int, int]:
-    """Bit lengths that bound max|P|, sum|P| and D, where terms = P/D over
-    the lcm D of its denominators and P is integer.
+def _coefficient_bits(p: Poly2) -> tuple[int, int, int]:
+    """Bit lengths that bound max|P|, sum|P| and D, where p = P/D over the
+    lcm D of its denominators and P is integer.
 
     D is computed while it has at most MAX_POWER_BITS bits (a single
     denominator is taken whole); past that, the rest of the lcm is bounded
     by the product of the remaining denominators, so an oversized input
     costs at most one big-number step.
     """
-    coeffs = list(terms.values())
+    coeffs = [coeff for _, coeff in p.terms()]
     common = 1
     for index, coeff in enumerate(coeffs):
         common = lcm(common, coeff.denominator)
@@ -131,21 +129,22 @@ def _coefficient_bits(terms: Terms) -> tuple[int, int, int]:
             common.bit_length())
 
 
-def _product_bits(left: Terms, right: Terms) -> int:
+def _product_bits(left: Poly2, right: Poly2) -> int:
     """A bound on the bit length of every numerator and denominator of
     left*right, both nonzero, computed before multiplying.
 
     Over common denominators left = P/D and right = Q/E.  Each coefficient
-    of P*Q sums at most k = min(len(left), len(right)) products, so it is
-    below 2^(bitlen k + bitlen max|P| + bitlen max|Q|), and its denominator
-    divides D*E.
+    of P*Q sums at most k = min(#terms of left, #terms of right) products,
+    so it is below 2^(bitlen k + bitlen max|P| + bitlen max|Q|), and its
+    denominator divides D*E.
     """
     p_bits, _, d_bits = _coefficient_bits(left)
     q_bits, _, e_bits = _coefficient_bits(right)
-    return max(min(len(left), len(right)).bit_length() + p_bits + q_bits, d_bits + e_bits)
+    k = min(len(left.terms()), len(right.terms()))
+    return max(k.bit_length() + p_bits + q_bits, d_bits + e_bits)
 
 
-def _power_bits(base: Terms, exponent: int) -> int:
+def _power_bits(base: Poly2, exponent: int) -> int:
     """A bound on the bit length of every numerator and denominator of
     base^exponent: over the common denominator base = P/D, each coefficient
     of P^e is at most (sum|P|)^e, over D^e.  For a constant p/q this is
@@ -154,10 +153,11 @@ def _power_bits(base: Terms, exponent: int) -> int:
     return exponent * max(sum_bits, den_bits)
 
 
-def _is_unit_monomial(terms: Terms) -> bool:
+def _is_unit_monomial(p: Poly2) -> bool:
     # +-x^i*y^j: a product with it only moves and negates coefficients, and
     # its powers are +-x^(e*i)*y^(e*j).
-    return len(terms) == 1 and next(iter(terms.values())) in (1, -1)
+    terms = p.terms()
+    return len(terms) == 1 and terms[0][1] in (1, -1)
 
 
 class _Parser:
@@ -180,13 +180,15 @@ class _Parser:
             raise _unexpected(token, expected)
         return self.advance()
 
-    def parse_expr(self) -> Terms:
-        # Every parsed value is a new dict, so the sum accumulates in place.
-        total = self.parse_term()
+    def parse_expr(self) -> Poly2:
+        value = self.parse_term()
+        if self.peek()[0] not in ("+", "-"):
+            return value
+        total = dict(value.terms())  # not Poly2's +, which would copy the sum per term
         while self.peek()[0] in ("+", "-"):
             operator = self.advance()
             negate = operator[0] == "-"
-            for key, coeff in self.parse_term().items():
+            for key, coeff in self.parse_term().terms():
                 if negate:
                     coeff = -coeff
                 if key in total:
@@ -199,53 +201,53 @@ class _Parser:
                     total[key] = coeff
                 else:
                     del total[key]
-        return total
+        return Poly2(total)
 
-    def parse_term(self) -> Terms:
+    def parse_term(self) -> Poly2:
         value = self.parse_factor()
         while self.peek()[0] == "*":
             star = self.advance()
             factor = self.parse_factor()
-            degree = _degree(value) + _degree(factor)
+            degree = value.degree + factor.degree
             if degree > MAX_DEGREE:
                 raise ParseError(f"product of total degree {degree} exceeds {MAX_DEGREE}",
                                  star[2])
-            if value and factor and not (_is_unit_monomial(factor)
-                                         or _is_unit_monomial(value)):
+            if not (value.is_zero or factor.is_zero or _is_unit_monomial(factor)
+                    or _is_unit_monomial(value)):
                 bits = _product_bits(value, factor)
                 if bits > MAX_POWER_BITS:
                     raise ParseError(f"product of up to {bits} bits exceeds {MAX_POWER_BITS}",
                                      star[2])
-            value = (Poly2._of(value) * Poly2._of(factor))._terms
+            value = value * factor
         return value
 
-    def parse_factor(self) -> Terms:
+    def parse_factor(self) -> Poly2:
         negate = False
         while self.peek()[0] == "-":
             self.advance()
             negate = not negate
         value = self.parse_power()
-        return {key: -coeff for key, coeff in value.items()} if negate else value
+        return -value if negate else value
 
-    def parse_power(self) -> Terms:
+    def parse_power(self) -> Poly2:
         value = self.parse_atom()
         while self.peek()[0] == "^":
             self.advance()
             position = self.peek()[2]
             exponent = self.parse_exponent()
-            degree = _degree(value) * exponent
+            degree = value.degree * exponent
             if degree > MAX_DEGREE:
                 raise ExponentError(f"power of total degree {degree} exceeds {MAX_DEGREE}",
                                     position)
             if exponent > MAX_DEGREE:
                 raise ExponentError(f"exponent {exponent} exceeds {MAX_DEGREE}", position)
-            if value and exponent > 1 and not _is_unit_monomial(value):
+            if not value.is_zero and exponent > 1 and not _is_unit_monomial(value):
                 bits = _power_bits(value, exponent)
                 if bits > MAX_POWER_BITS:
-                    kind = "constant power" if _degree(value) == 0 else "power"
+                    kind = "constant power" if value.degree == 0 else "power"
                     raise ExponentError(f"{kind} of up to {bits} bits exceeds {MAX_POWER_BITS}",
                                         position)
-            value = (Poly2._of(value) ** exponent)._terms
+            value = value ** exponent
         return value
 
     def parse_exponent(self) -> int:
@@ -265,7 +267,7 @@ class _Parser:
                                 ("nonnegative integer",))
         return _number(token)
 
-    def parse_atom(self) -> Terms:
+    def parse_atom(self) -> Poly2:
         token = self.advance()
         kind = token[0]
         if kind == _NUMBER:
@@ -276,10 +278,9 @@ class _Parser:
                 denominator = _number(denom_token)
                 if denominator == 0:
                     raise ParseError("zero denominator", denom_token[2], ("nonzero number",))
-            value = Fraction(numerator, denominator)
-            return {(0, 0): value} if value else {}
+            return Poly2.const(Fraction(numerator, denominator))
         if kind == _VAR:
-            return {(1, 0) if token[1] == "x" else (0, 1): Fraction(1)}
+            return _VARIABLES[token[1]]
         if kind == "(":
             self.depth += 1
             if self.depth > MAX_NESTING:
@@ -303,13 +304,13 @@ def parse_poly(text: str, decimals: bool = False) -> Poly2:
     malformed input, on a number longer than the int-conversion limit, on a
     product over MAX_DEGREE or MAX_POWER_BITS and on a sum over
     MAX_POWER_BITS; ExponentError on a negative or fractional exponent and
-    on a power over MAX_DEGREE or MAX_POWER_BITS.  Each literal becomes one
-    Fraction, a sum accumulates in one dict, and products and powers go
-    through Poly2.
+    on a power over MAX_DEGREE or MAX_POWER_BITS.  The result is built with
+    Poly2's public operations only: constants and variables, negation,
+    products and powers, and one Poly2 per sum from its terms' coefficients.
     """
     parser = _Parser(_tokenize(text, decimals))
     result = parser.parse_expr()
     trailing = parser.peek()
     if trailing[0] != _END:
         raise _unexpected(trailing, ("+", "-", "*", "^", "end of input"))
-    return Poly2._of(result)
+    return result

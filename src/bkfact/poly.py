@@ -21,8 +21,6 @@ from operator import mul
 from typing import Mapping, Union
 
 Scalar = Union[int, str, Fraction]
-# A polynomial's terms: exponent pairs (i, j) to nonzero coefficients.
-Terms = dict[tuple[int, int], Fraction]
 
 
 def as_fraction(value: Scalar) -> Fraction:
@@ -66,7 +64,7 @@ class Poly2:
         return cls()
 
     @classmethod
-    def _of(cls, terms: Terms) -> "Poly2":
+    def _of(cls, terms: dict[tuple[int, int], Fraction]) -> "Poly2":
         # Trusted constructor: terms already maps nonnegative exponent pairs
         # to nonzero Fractions, and the new polynomial takes ownership of it.
         result = cls.__new__(cls)
@@ -75,15 +73,14 @@ class Poly2:
 
     @classmethod
     def const(cls, value: Scalar) -> "Poly2":
-        return cls({(0, 0): value})
+        coeff = as_fraction(value)
+        return cls._of({(0, 0): coeff} if coeff else {})
 
     @classmethod
     def var(cls, name: str) -> "Poly2":
-        if name == "x":
-            return cls({(1, 0): 1})
-        if name == "y":
-            return cls({(0, 1): 1})
-        raise ValueError(f"unknown variable {name!r}")
+        if name not in ("x", "y"):
+            raise ValueError(f"unknown variable {name!r}")
+        return cls._of({(1, 0) if name == "x" else (0, 1): Fraction(1)})
 
     @classmethod
     def monomial(cls, i: int, j: int, coeff: Scalar = 1) -> "Poly2":

@@ -148,10 +148,12 @@ class TestResidual:
                 assert residual(op, root).r == expected
 
     def test_zero_leading_root_rejected(self):
-        # 0*z^2 + z - 1 vanishes at 1 with k = 1, but has no second root.
-        op = LPDO2(PrincipalSymbol(0, 1, -1), X, Y, Poly2.zero())
-        with pytest.raises(ZeroLeadingError):
-            residual(op, CharRoot(1))
+        # 0*z^2 + z - 1 vanishes at 1 with k = 1, but has no second root;
+        # the zero symbol vanishes everywhere with k = 0.
+        for symbol in (PrincipalSymbol(0, 1, -1), PrincipalSymbol(0, 0, 0)):
+            op = LPDO2(symbol, X, Y, Poly2.zero())
+            with pytest.raises(ZeroLeadingError):
+                residual(op, CharRoot(1))
 
     def test_noncanonical_symbol(self):
         # Symbol z^2 - 3z + 2 has roots 1 and 2; exactness is still decided
@@ -438,6 +440,7 @@ class TestReconstruction:
         (CANONICAL_SYMBOL, CharRoot(2)),  # not a root
         (PrincipalSymbol(1, 2, 1), CharRoot(-1)),  # repeated root
         (PrincipalSymbol(0, 1, -1), CharRoot(1)),  # no Dxx part
+        (PrincipalSymbol(0, 0, 0), CharRoot(1)),  # no second-order part
     ])
     def test_root_errors_match_residual(self, symbol, root):
         op = LPDO2(symbol, X, Y, Poly2.zero())

@@ -270,20 +270,20 @@ class TestCoefficientBound:
                                   Fraction(rng.choice(big) * rng.randint(-9, 9) or 1,
                                            rng.choice(big) * rng.randint(1, 9))
                                   for _ in range(rng.randint(1, 4))}) for _ in range(2))
-            assert _max_bits(left * right) <= parsing._product_bits(left._terms, right._terms)
+            assert _max_bits(left * right) <= parsing._product_bits(left, right)
             exponent = rng.randint(2, 3)
-            assert _max_bits(left ** exponent) <= parsing._power_bits(left._terms, exponent)
+            assert _max_bits(left ** exponent) <= parsing._power_bits(left, exponent)
         for _ in range(100):  # unit-size coefficients: powers grow by their sums
             base, exponent = rand_poly2(rng, 3, 1, 1), rng.randint(2, 6)
             if not base.is_zero:
-                assert _max_bits(base ** exponent) <= parsing._power_bits(base._terms, exponent)
+                assert _max_bits(base ** exponent) <= parsing._power_bits(base, exponent)
         # Three coprime denominators whose lcm is over the bound after two:
         # the x^2 coefficient of the product is over all three.
         a, b, c = 2 ** 7001 - 1, 3 ** 4500, 5 ** 3000
         left = Poly2({(0, 0): Fraction(1, a), (1, 0): Fraction(1, b), (2, 0): Fraction(1, c)})
         right = parse_poly("1 + x + x^2")
         assert (left * right).coeff(2, 0).denominator == a * b * c
-        assert _max_bits(left * right) <= parsing._product_bits(left._terms, right._terms)
+        assert _max_bits(left * right) <= parsing._product_bits(left, right)
 
 
 # Inputs of the oracle tests are strings over one alphabet: x y 0-9 + - * / ^
