@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import ClassVar, Optional, Union
 
 from .errors import DegreeTooHighError, PreconditionViolatedError
-from .poly import Box, Poly2, Scalar, as_fraction, bernstein_on_rect
+from .poly import Box, Poly2, RangeEnclosure, Scalar, as_fraction, bernstein_on_rect
 
 Point = tuple[Fraction, Fraction]
 DEFAULT_DEPTH = 12  # Bernstein subdivision depth budget
@@ -442,20 +442,24 @@ def bernstein_certify(request: CertRequest) -> Certificate:
     enclosure overshoot as the gap.  The traversal order is fixed, so
     results are deterministic.
 
-    Nodes are decided in integers on the enclosure's numerators over D: for
-    top = D*max|b| and eps = p/q, max|b| < eps is top*q < p*D, and at
-    equality the face rule compares the numerators with top = eps*D.
+    Only the root's enclosure is converted from D's power form; each child
+    is derived from its parent's enclosure, which rides on the stack with
+    it, by de Casteljau halving along the split axis (see bernstein_on_rect).
+    Nodes are decided in integers on the enclosure's numerators over its
+    denominator Q: for top = Q*max|b| and eps = p/q, max|b| < eps is
+    top*q < p*Q, and at equality the face rule compares the numerators with
+    top = eps*Q.
     """
     d = request.d
     eps = request.eps
     box = request.box
     worst_inside = Fraction(0)
     worst_leaf = Fraction(0)  # a depth-capped leaf's max|b| is at least eps > 0
-    stack: list[tuple[Fraction, Fraction, Fraction, Fraction, int]] = [
-        (-box.m, box.m, -box.n, box.n, 0)]
+    stack: list[tuple[Fraction, Fraction, Fraction, Fraction, int,
+                      Optional[RangeEnclosure]]] = [(-box.m, box.m, -box.n, box.n, 0, None)]
     while stack:
-        xlo, xhi, ylo, yhi, depth = stack.pop()
-        enclosure = bernstein_on_rect(d, xlo, xhi, ylo, yhi)
+        xlo, xhi, ylo, yhi, depth, parent = stack.pop()
+        enclosure = bernstein_on_rect(d, xlo, xhi, ylo, yhi, parent=parent)
         grid, scale = enclosure.numerators, enclosure.denominator
         top = max(max(map(max, grid)), -min(map(min, grid)))
         lhs, rhs = top * eps.denominator, eps.numerator * scale
@@ -471,11 +475,11 @@ def bernstein_certify(request: CertRequest) -> Certificate:
             return Violated(witness=(cx, cy), value=value)
         if depth < request.max_depth:
             if xhi - xlo >= yhi - ylo:
-                stack.append((cx, xhi, ylo, yhi, depth + 1))
-                stack.append((xlo, cx, ylo, yhi, depth + 1))
+                stack.append((cx, xhi, ylo, yhi, depth + 1, enclosure))
+                stack.append((xlo, cx, ylo, yhi, depth + 1, enclosure))
             else:
-                stack.append((xlo, xhi, cy, yhi, depth + 1))
-                stack.append((xlo, xhi, ylo, cy, depth + 1))
+                stack.append((xlo, xhi, cy, yhi, depth + 1, enclosure))
+                stack.append((xlo, xhi, ylo, cy, depth + 1, enclosure))
         elif top * worst_leaf.denominator > worst_leaf.numerator * scale:
             worst_leaf = Fraction(top, scale)
     if worst_leaf:

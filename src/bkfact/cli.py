@@ -270,9 +270,10 @@ def _cmd_family(args, out) -> int:
 
 
 def _names_flag(token: str, flag: str) -> bool:
-    # argparse takes any unambiguous prefix (--inp FILE is --input) and -h for --help.
+    # argparse takes any unambiguous prefix (--inp FILE is --input), and -h
+    # for --help, also with a value attached (-hx, -h=1).
     name = token.partition("=")[0]
-    name = "--help" if name == "-h" else name
+    name = "--help" if name.startswith("-h") else name
     return len(name) > 2 and flag.startswith(name)
 
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, lcm
-from operator import mul
-from typing import Mapping, Union
+from operator import add, mul
+from typing import Mapping, Sequence, Union
 
 Scalar = Union[int, str, Fraction]
 
@@ -289,12 +289,19 @@ class Box:
 
 @dataclass(frozen=True)
 class RangeEnclosure:
-    """A polynomial's Bernstein coefficients on a rectangle, held as integer
-    numerators over one positive denominator, b[r][s] = numerators[r][s] /
-    denominator; their min and max [lo, hi] enclose its range there."""
+    """A polynomial's Bernstein coefficients on the rectangle rect = (xlo,
+    xhi, ylo, yhi), held as integer numerators over one positive
+    denominator, b[r][s] = numerators[r][s] / denominator; their min and max
+    [lo, hi] enclose its range there.
+
+    == compares this representation, not the values it stands for: a grid
+    halved from its parent's and the direct conversion of the same rectangle
+    hold equal b[r][s] over different denominators, so compare coefficients,
+    lo or hi for equal values."""
 
     numerators: tuple[tuple[int, ...], ...]
     denominator: int
+    rect: tuple[Fraction, Fraction, Fraction, Fraction]
 
     @property
     def lo(self) -> Fraction:
@@ -350,33 +357,12 @@ def _shift(lines: list[list[int]], lo: Fraction, w: Fraction) -> int:
     return q ** (len(lines[0]) - 1)
 
 
-def bernstein_on_rect(p: Poly2, xlo: Scalar, xhi: Scalar, ylo: Scalar, yhi: Scalar) -> RangeEnclosure:
-    """Range enclosure of p on the closed rectangle [xlo, xhi] x [ylo, yhi],
-    with the tensor-product Bernstein coefficients b[r][s] it is read from,
-    0 <= r <= x-degree, 0 <= s <= y-degree, as integer numerators over one
-    positive denominator.
-
-    The rectangle is mapped affinely onto the unit square (x = xlo + wx*u,
-    y = ylo + wy*v), so that p = sum of b[r][s]*B_r(u)*B_s(v) with the
-    Bernstein basis polynomials B_k(t) = comb(d, k)*t^k*(1 - t)^(d - k).
-    These are nonnegative and sum to 1, so the minimum and maximum b[r][s]
-    enclose the range.  The enclosure is exact for affine polynomials and
-    tightens under subdivision, but is generally not tight before it (x^2
-    on [-1, 1] encloses to [-1, 1]).
-
-    The transform is separable (Titi & Garloff 2019) and runs in integers
-    (Garloff 1986): p's numerators over their lcm L fill a dense
-    (dx+1) x (dy+1) grid; each column is shifted and scaled to
-    qx^dx*a((tx + sx*u)/qx), with xlo = tx/qx and wx = sx/qx, each row
-    likewise in y; the weights M_d*C(r, k)/C(d, k) are applied along y and
-    along x, and b[r][s] is the result over L*qx^dx*qy^dy*M_dx*M_dy.  Each
-    pass costs O(d^2) per line, O(dx*dy*(dx + dy)) integer operations in all
-    (the direct double sum is O(dx^2*dy^2)); no Fraction is built.
-    """
-    x0 = as_fraction(xlo)
-    y0 = as_fraction(ylo)
-    wx = as_fraction(xhi) - x0
-    wy = as_fraction(yhi) - y0
+def _power_to_bernstein(p: Poly2, rect: tuple[Fraction, Fraction, Fraction, Fraction]
+                        ) -> RangeEnclosure:
+    # The conversion from power form; see bernstein_on_rect.
+    x0, x1, y0, y1 = rect
+    wx = x1 - x0
+    wy = y1 - y0
     if wx <= 0 or wy <= 0:
         raise ValueError("rectangle sides must have positive length")
     dx = max(p.x_degree, 0)
@@ -395,7 +381,86 @@ def bernstein_on_rect(p: Poly2, xlo: Scalar, xhi: Scalar, ylo: Scalar, yhi: Scal
     grid = zip(*[[sum(map(mul, weights, column)) for weights in x_weights] for column in columns])
     denominator *= mx * my
     # tuple() of a list: a tuple built from an iterator is resized, and piles up on the free list.
-    return RangeEnclosure(tuple(list(grid)), denominator)
+    return RangeEnclosure(tuple(list(grid)), denominator, rect)
+
+
+def _is_upper_half(lo: Fraction, hi: Fraction, parent_lo: Fraction, parent_hi: Fraction) -> bool:
+    mid = (parent_lo + parent_hi) / 2
+    if (lo, hi) == (parent_lo, mid):
+        return False
+    if (lo, hi) == (mid, parent_hi):
+        return True
+    raise ValueError("the rectangle is not a half of the parent enclosure's rectangle")
+
+
+def _halve(rows: Sequence[Sequence[int]], upper: bool) -> tuple[tuple[int, ...], ...]:
+    """De Casteljau at t = 1/2 along the first index of the numerators
+    b[0..d] (each row a vector along the other axis): the lower or upper
+    half's numerators, over the denominator times 2^d.
+
+    After j passes of pairwise sums, a[i] = sum of C(j, k)*b[i + k], and
+    a[0]/2^j and a[d - j]/2^j are the lower half's coefficient j and the
+    upper half's coefficient d - j; shifting by d - j puts them over 2^d.
+    """
+    d = len(rows) - 1
+    a = list(rows)
+    half = [()] * (d + 1)
+    for j in range(d + 1):
+        if j:
+            # Lists: a tuple built from an iterator piles up on the free list.
+            for i in range(d - j + 1):
+                a[i] = list(map(add, a[i], a[i + 1]))
+        k = d - j if upper else j
+        half[k] = tuple([b << (d - j) for b in a[d - j if upper else 0]])
+    return tuple(half)
+
+
+def bernstein_on_rect(p: Poly2, xlo: Scalar, xhi: Scalar, ylo: Scalar, yhi: Scalar, *,
+                      parent: RangeEnclosure | None = None) -> RangeEnclosure:
+    """Range enclosure of p on the closed rectangle [xlo, xhi] x [ylo, yhi],
+    with the tensor-product Bernstein coefficients b[r][s] it is read from,
+    0 <= r <= x-degree, 0 <= s <= y-degree, as integer numerators over one
+    positive denominator.
+
+    The rectangle is mapped affinely onto the unit square (x = xlo + wx*u,
+    y = ylo + wy*v), so that p = sum of b[r][s]*B_r(u)*B_s(v) with the
+    Bernstein basis polynomials B_k(t) = comb(d, k)*t^k*(1 - t)^(d - k).
+    These are nonnegative and sum to 1, so the minimum and maximum b[r][s]
+    enclose the range.  The enclosure is exact for affine polynomials and
+    tightens under subdivision, but is generally not tight before it (x^2
+    on [-1, 1] encloses to [-1, 1]).
+
+    The grid has two sources.  Without parent, it is converted from p's
+    power form.  The transform is separable (Titi & Garloff 2019) and runs
+    in integers (Garloff 1986): p's numerators over their lcm L fill a dense
+    (dx+1) x (dy+1) grid; each column is shifted and scaled to
+    qx^dx*a((tx + sx*u)/qx), with xlo = tx/qx and wx = sx/qx, each row
+    likewise in y; the weights M_d*C(r, k)/C(d, k) are applied along y and
+    along x, and b[r][s] is the result over L*qx^dx*qy^dy*M_dx*M_dy.  Each
+    pass costs O(d^2) per line, O(dx*dy*(dx + dy)) integer operations in all
+    (the direct double sum is O(dx^2*dy^2)); no Fraction is built.
+
+    With parent, p's enclosure on a rectangle whose lower or upper half
+    along x or along y this rectangle is, the grid is the parent's halved by
+    de Casteljau at t = 1/2 along that axis: O(dx^2*dy) (x) or O(dx*dy^2)
+    (y) integer additions and shifts, and the denominator grows by 2^dx or
+    2^dy.  Any other rectangle raises ValueError.  p itself is not read.
+    """
+    rect = (as_fraction(xlo), as_fraction(xhi), as_fraction(ylo), as_fraction(yhi))
+    if parent is None:
+        return _power_to_bernstein(p, rect)
+    x0, x1, y0, y1 = rect
+    px0, px1, py0, py1 = parent.rect
+    grid = parent.numerators
+    if y0 == py0 and y1 == py1:
+        grid = _halve(grid, _is_upper_half(x0, x1, px0, px1))
+        shift = len(grid) - 1
+    elif x0 == px0 and x1 == px1:
+        grid = tuple(list(zip(*_halve(list(zip(*grid)), _is_upper_half(y0, y1, py0, py1)))))
+        shift = len(grid[0]) - 1
+    else:
+        raise ValueError("the rectangle is not a half of the parent enclosure's rectangle")
+    return RangeEnclosure(grid, parent.denominator << shift, rect)
 
 
 def format_poly(p: Poly2) -> str:

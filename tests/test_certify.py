@@ -30,8 +30,7 @@ from bkfact import (
     triangle_sufficient,
     univariate_sufficient,
 )
-from bkfact import certify
-from bkfact.poly import bernstein_on_rect
+from bkfact import certify, poly
 
 import helpers
 from helpers import (
@@ -563,6 +562,33 @@ class TestBernsteinCertify:
         request = CertRequest(d=d, box=UNIT, eps=Fraction(9, 10), max_depth=6)
         assert bernstein_certify(request) == bernstein_certify(request)
 
+    def test_power_form_converted_once(self, monkeypatch):
+        # Only the root's grid comes from D's power form; every other node's
+        # is halved from its parent's.  certify.bernstein_on_rect is still
+        # called once per node, with the node's five positional arguments.
+        d = X ** 4 - (Y - Poly2.const(Fraction(1, 3))) ** 2 / 4
+        request = CertRequest(d=d, box=UNIT, eps=Fraction(1), max_depth=6)
+        expected = reference_bernstein_certify(request)
+        conversions, nodes = [], []
+        convert, enclose = poly._power_to_bernstein, certify.bernstein_on_rect
+
+        def counted_convert(p, rect):
+            conversions.append(rect)
+            return convert(p, rect)
+
+        def counted_node(*args, **kwargs):
+            nodes.append(args)
+            return enclose(*args, **kwargs)
+
+        monkeypatch.setattr(poly, "_power_to_bernstein", counted_convert)
+        monkeypatch.setattr(certify, "bernstein_on_rect", counted_node)
+        for runs in (1, 2):
+            assert bernstein_certify(request) == expected and expected.kind == "unknown"
+            assert conversions == [(-1, 1, -1, 1)] * runs
+        assert len(nodes) == 2 * len({args[1:] for args in nodes}) > 2 * request.max_depth
+        assert all(len(args) == 5 and args[0] is d
+                   and all(type(c) is Fraction for c in args[1:]) for args in nodes)
+
 
 def _separable_even(rng: random.Random, box: Box) -> tuple[Poly2, Fraction]:
     """a*x^k + b*y^l + c with even k, l (l may be 0), and an eps equal to the
@@ -591,18 +617,9 @@ class TestFaceRuleAgainstReference:
     face rule (helpers.reference_bernstein_certify): the two agree except
     that an Unknown may become CertifiedInside(0), and then its gap is 0."""
 
-    def test_matches_reference(self, monkeypatch):
-        # The face rule only prunes, so both traversals visit the same
-        # rectangles: one enclosure cache per input halves the test's cost.
-        cache = {}
-
-        def cached_enclosure(d, *rect):
-            if rect not in cache:
-                cache[rect] = bernstein_on_rect(d, *rect)
-            return cache[rect]
-
-        monkeypatch.setattr(certify, "bernstein_on_rect", cached_enclosure)
-        monkeypatch.setattr(helpers, "bernstein_on_rect", cached_enclosure)
+    def test_matches_reference(self):
+        # bernstein_certify halves each parent's grid and the reference
+        # converts every node from power form, so no enclosure is shared.
         rng = random.Random(20261019)
         upgraded = 0
         for k in range(2000):
@@ -615,7 +632,6 @@ class TestFaceRuleAgainstReference:
             # Depths 0-6, shallow ones more often: a full tree costs 2^(depth+1).
             request = CertRequest(d, box, eps, max_depth=min(rng.randint(0, 6),
                                                              rng.randint(0, 6)))
-            cache.clear()
             new, ref = bernstein_certify(request), reference_bernstein_certify(request)
             if new != ref:
                 assert isinstance(ref, Unknown) and ref.gap == 0, (d, box, eps)

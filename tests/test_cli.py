@@ -466,7 +466,7 @@ class TestBatch:
         assert status == 65 and out == ""
         assert err == "bkfact: input error: batch line 2: --input is not allowed in a batch file\n"
 
-    @pytest.mark.parametrize("flag", ["--help", "-h", "--he", "-h=1", "--he=1"])
+    @pytest.mark.parametrize("flag", ["--help", "-h", "--he", "-h=1", "--he=1", "-hx", "-h1"])
     def test_help_rejected(self, capsys, tmp_path, flag):
         # argparse would print the help and exit 0, skipping the third line
         # and losing the first line's violation.

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bkfact import Box, Poly2, char_diff, format_poly, parse_poly
-from bkfact.poly import bernstein_on_rect
+from bkfact.poly import RangeEnclosure, bernstein_on_rect
 from helpers import (Poly1, rand_frac, rand_nonzero_frac, rand_point_in_box, rand_poly2,
                      reference_bernstein_coefficients, reference_eval, restrict)
 
@@ -258,8 +258,9 @@ def _dyadic_rectangle(rng: random.Random) -> tuple[Fraction, ...]:
     return tuple(sides)
 
 
-def assert_matches_reference(p: Poly2, rect: tuple[Fraction, ...]) -> None:
-    enclosure = bernstein_on_rect(p, *rect)
+def assert_matches_reference(p: Poly2, rect: tuple[Fraction, ...],
+                             parent: RangeEnclosure | None = None) -> RangeEnclosure:
+    enclosure = bernstein_on_rect(p, *rect, parent=parent)
     expected = reference_bernstein_coefficients(p, *rect)
     numerators, denominator = enclosure.numerators, enclosure.denominator
     assert type(denominator) is int and denominator > 0
@@ -273,6 +274,8 @@ def assert_matches_reference(p: Poly2, rect: tuple[Fraction, ...]) -> None:
     assert (enclosure.lo, enclosure.hi) == (min(map(min, expected)), max(map(max, expected)))
     assert len(got) == max(p.x_degree, 0) + 1
     assert all(len(row) == max(p.y_degree, 0) + 1 for row in got)
+    assert enclosure.rect == rect
+    return enclosure
 
 
 class TestBernsteinAgainstReference:
@@ -312,6 +315,64 @@ class TestBernsteinAgainstReference:
         for rect in ((1, 1, 0, 1), (0, 1, 2, 1)):
             with pytest.raises(ValueError):
                 bernstein_on_rect(X * Y, *rect)
+
+
+def _not_a_half(rng: random.Random, rect: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    xlo, xhi, ylo, yhi = rect
+    xmid, ymid = (xlo + xhi) / 2, (ylo + yhi) / 2
+    return rng.choice([
+        rect,                                       # the parent itself
+        (xlo, xmid, ylo, ymid),                     # a quarter: both axes halved
+        (xlo, (xlo + xmid) / 2, ylo, yhi),          # a quarter of one side
+        (xmid, xhi + (xhi - xlo) / 2, ylo, yhi),    # the right half's width, shifted
+        (xlo, xhi, ylo - (yhi - ylo) / 2, ylo),     # the lower half's width, outside
+        (xlo, xmid, ylo, yhi + 1),                  # x halved, y widened
+    ])
+
+
+class TestHalvingAgainstReference:
+    """bernstein_on_rect with parent= (de Casteljau halving of the parent's
+    grid) against the direct conversion of each child, along random
+    halving paths from rational root rectangles."""
+
+    def _walk(self, rng: random.Random, p: Poly2, rect: tuple[Fraction, ...],
+              depth: int) -> None:
+        enclosure = assert_matches_reference(p, rect)
+        for _ in range(depth):
+            with pytest.raises(ValueError):
+                bernstein_on_rect(p, *_not_a_half(rng, rect), parent=enclosure)
+            xlo, xhi, ylo, yhi = rect
+            if rng.randrange(2):
+                mid = (xlo + xhi) / 2
+                rect = (xlo, mid, ylo, yhi) if rng.randrange(2) else (mid, xhi, ylo, yhi)
+            else:
+                mid = (ylo + yhi) / 2
+                rect = (xlo, xhi, ylo, mid) if rng.randrange(2) else (xlo, xhi, mid, yhi)
+            enclosure = assert_matches_reference(p, rect, parent=enclosure)
+
+    def test_seeded(self):
+        rng = random.Random(20)
+        shapes = TestBernsteinAgainstReference.SHAPES
+        for index in range(84):
+            shape = shapes[index % len(shapes)]
+            p = _shaped_poly(rng, shape, rng.randint(0, 8), rng.randint(0, 8))
+            rect = _dyadic_rectangle(rng) if index % 3 == 0 else _random_rectangle(rng)
+            self._walk(rng, p, rect, rng.randint(12, 16))
+
+    @pytest.mark.parametrize("text, rect", [
+        ("(x + 1/3*y - 2/7)^16", (-1, 1, -1, 1)),
+        # Coprime denominators: xlo = 2/9 and the width 3/10, -5/7 and 4/11.
+        ("(x^2 - 2/3*x*y + 1/5*y - 3/7)^8", (Fraction(2, 9), Fraction(47, 90),
+                                             Fraction(-5, 7), Fraction(-27, 77))),
+        # Degree 32 in one variable: the oracle's cost grows as (dx*dy)^2.
+        ("(x - 2/7)^32 - 1/3*x*y + y", (Fraction(-3, 2), Fraction(3, 2), Fraction(-5, 7),
+                                        Fraction(5, 7))),
+        ("(3/5*y - 1/3)^32 + x", (Fraction(3, 8), Fraction(3, 4), Fraction(-2, 3), 0)),
+    ])
+    def test_high_degree(self, text, rect):
+        self._walk(random.Random(text), parse_poly(text),
+                   tuple(map(Fraction, rect)), 12)
+
 
 class TestDisplay:
     def test_zero(self):
