@@ -146,23 +146,18 @@ class Poly2:
         return Poly2._of({key: -coeff for key, coeff in self._terms.items()})
 
     def __mul__(self, other: "Poly2 | Scalar") -> "Poly2":
+        """Product with a Poly2 or a scalar.  Later products for a key are added to
+        the first; only such sums cancel, so zeros are dropped once, at the end."""
         if isinstance(other, Poly2):
-            many, single = (other, self) if len(self._terms) == 1 else (self, other)
-            if len(single._terms) == 1:
-                # A one-term factor gives distinct, nonzero product terms.
-                ((i2, j2), c2), = single._terms.items()
-                return Poly2._of({(i1 + i2, j1 + j2): c1 * c2
-                                  for (i1, j1), c1 in many._terms.items()})
             out: dict[tuple[int, int], Fraction] = {}
             for (i1, j1), c1 in self._terms.items():
                 for (i2, j2), c2 in other._terms.items():
                     key = (i1 + i2, j1 + j2)
-                    total = out.get(key, Fraction(0)) + c1 * c2
-                    if total:
-                        out[key] = total
+                    if key in out:
+                        out[key] += c1 * c2
                     else:
-                        out.pop(key, None)
-            return Poly2._of(out)
+                        out[key] = c1 * c2
+            return Poly2._of({key: coeff for key, coeff in out.items() if coeff})
         scale = as_fraction(other)
         if scale == 0:
             return Poly2.zero()
@@ -225,16 +220,18 @@ class Poly2:
 
         Returns (coeffs, L) with L*p(m*u, n*v) = sum of coeffs[(i, j)]*u^i*v^j,
         every coefficient an int and L > 0 (1 for the zero polynomial).  With
-        p's numerators over their lcm, m = a/b and n = c/e, each term is scaled
-        by a^i*b^(dx - i)*c^j*e^(dy - j) and L by b^dx*e^dy, so L need not be
-        the least common denominator.
+        p's coefficients over the lcm of their denominators, m = a/b and n = c/e,
+        each numerator is scaled by a^i*b^(dx - i)*c^j*e^(dy - j) and L by
+        b^dx*e^dy, so L need not be the least common denominator.  This is the
+        one place that clears denominators; the Bernstein conversion reads (1, 1).
         """
         (a, b), (c, e) = as_fraction(m).as_integer_ratio(), as_fraction(n).as_integer_ratio()
-        nums, scale = _numerators(self)
+        scale = lcm(*[coeff.denominator for coeff in self._terms.values()])
         dx, dy = max(self.x_degree, 0), max(self.y_degree, 0)
         xs = [a ** i * b ** (dx - i) for i in range(dx + 1)]
         ys = [c ** j * e ** (dy - j) for j in range(dy + 1)]
-        coeffs = {(i, j): num * xs[i] * ys[j] for (i, j), num in nums.items()}
+        coeffs = {(i, j): coeff.numerator * (scale // coeff.denominator) * xs[i] * ys[j]
+                  for (i, j), coeff in self._terms.items()}
         return coeffs, scale * b ** dx * e ** dy
 
     # -- display ------------------------------------------------------------
@@ -244,12 +241,6 @@ class Poly2:
 
     def __repr__(self) -> str:
         return f"Poly2({format_poly(self)})"
-
-
-def _numerators(p: Poly2) -> tuple[dict[tuple[int, int], int], int]:
-    # p's coefficients as integers over their lcm L: L*p = sum of a[(i, j)]*x^i*y^j.
-    scale = lcm(*[c.denominator for c in p._terms.values()])
-    return {key: c.numerator * (scale // c.denominator) for key, c in p._terms.items()}, scale
 
 
 def char_diff(p: Poly2, omega: Scalar) -> Poly2:
@@ -368,20 +359,19 @@ def _power_to_bernstein(p: Poly2, rect: tuple[Fraction, Fraction, Fraction, Frac
     dx = max(p.x_degree, 0)
     dy = max(p.y_degree, 0)
 
-    nums, denominator = _numerators(p)
+    nums, denominator = p.lift(1, 1)
     columns = [[0] * (dx + 1) for _ in range(dy + 1)]
     for (i, j), a in nums.items():
         columns[j][i] = a
     denominator *= _shift(columns, x0, wx)
-    rows = [list(row) for row in zip(*columns)]
+    mx, x_weights = _weights(dx)
+    weighted = [[sum(map(mul, weights, column)) for weights in x_weights] for column in columns]
+    rows = [list(row) for row in zip(*weighted)]
     denominator *= _shift(rows, y0, wy)
     my, y_weights = _weights(dy)
-    columns = zip(*[[sum(map(mul, weights, row)) for weights in y_weights] for row in rows])
-    mx, x_weights = _weights(dx)
-    grid = zip(*[[sum(map(mul, weights, column)) for weights in x_weights] for column in columns])
-    denominator *= mx * my
     # tuple() of a list: a tuple built from an iterator is resized, and piles up on the free list.
-    return RangeEnclosure(tuple(list(grid)), denominator, rect)
+    grid = tuple([tuple([sum(map(mul, weights, row)) for weights in y_weights]) for row in rows])
+    return RangeEnclosure(grid, denominator * mx * my, rect)
 
 
 def _is_upper_half(lo: Fraction, hi: Fraction, parent_lo: Fraction, parent_hi: Fraction) -> bool:
@@ -432,13 +422,13 @@ def bernstein_on_rect(p: Poly2, xlo: Scalar, xhi: Scalar, ylo: Scalar, yhi: Scal
 
     The grid has two sources.  Without parent, it is converted from p's
     power form.  The transform is separable (Titi & Garloff 2019) and runs
-    in integers (Garloff 1986): p's numerators over their lcm L fill a dense
-    (dx+1) x (dy+1) grid; each column is shifted and scaled to
-    qx^dx*a((tx + sx*u)/qx), with xlo = tx/qx and wx = sx/qx, each row
-    likewise in y; the weights M_d*C(r, k)/C(d, k) are applied along y and
-    along x, and b[r][s] is the result over L*qx^dx*qy^dy*M_dx*M_dy.  Each
-    pass costs O(d^2) per line, O(dx*dy*(dx + dy)) integer operations in all
-    (the direct double sum is O(dx^2*dy^2)); no Fraction is built.
+    in integers (Garloff 1986).  p.lift(1, 1), p's numerators over their lcm
+    L, fills a dense (dx+1) x (dy+1) grid.  First each column is shifted and
+    scaled to qx^dx*a((tx + sx*u)/qx), with xlo = tx/qx and wx = sx/qx, and
+    weighted by M_dx*C(r, k)/C(dx, k); after one transpose each row gets the
+    same two passes in y.  The maps commute, and b[r][s] is the result over
+    L*qx^dx*qy^dy*M_dx*M_dy.  Each pass costs O(d^2) per line, O(dx*dy*(dx +
+    dy)) integer operations in all (direct: O(dx^2*dy^2)); no Fraction is built.
 
     With parent, p's enclosure on a rectangle whose lower or upper half
     along x or along y this rectangle is, the grid is the parent's halved by

@@ -352,6 +352,22 @@ def reference_eval(p: Poly2, x0: Scalar, y0: Scalar) -> Fraction:
     return total
 
 
+# Poly2's product loop as it was, a Fraction schoolbook that tests every
+# partial sum for zero, kept as the oracle of Poly2.__mul__.
+def reference_mul(p: Poly2, q: Poly2) -> Poly2:
+    """Exact product of p and q."""
+    out: dict[tuple[int, int], Fraction] = {}
+    for (i1, j1), c1 in p.terms():
+        for (i2, j2), c2 in q.terms():
+            key = (i1 + i2, j1 + j2)
+            total = out.get(key, Fraction(0)) + c1 * c2
+            if total:
+                out[key] = total
+            else:
+                out.pop(key, None)
+    return Poly2(out)
+
+
 # The power-to-Bernstein conversion as it was (O(dx^2*dy^2) per rectangle),
 # kept as the oracle of the coefficients of bkfact.poly.bernstein_on_rect.
 def reference_bernstein_coefficients(p: Poly2, xlo: Scalar, xhi: Scalar, ylo: Scalar,

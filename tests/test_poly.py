@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from bkfact import Box, Poly2, char_diff, format_poly, parse_poly
 from bkfact.poly import RangeEnclosure, bernstein_on_rect
 from helpers import (Poly1, rand_frac, rand_nonzero_frac, rand_point_in_box, rand_poly2,
-                     reference_bernstein_coefficients, reference_eval, restrict)
+                     reference_bernstein_coefficients, reference_eval, reference_mul, restrict)
 
 X = Poly2.var("x")
 Y = Poly2.var("y")
@@ -66,8 +66,8 @@ class TestArithmetic:
         assert (X + one) * (X - one) == X * X - one
 
     def test_one_term_factors(self):
-        # Products with a one-term factor and powers of one term skip the
-        # general loop; values must still multiply pointwise.
+        # Powers of one term skip the product loop, and a one-term factor
+        # gives distinct product keys; values must still multiply pointwise.
         rng = random.Random(5)
         for _ in range(100):
             p = rand_poly2(rng, 3)
@@ -96,6 +96,54 @@ class TestArithmetic:
         assert p * q == q * p
         assert (p * q) * r == p * (q * r)
         assert p * (q + r) == p * q + p * r
+
+
+class TestMulAgainstReference:
+    """Poly2.__mul__ against reference_mul, the product loop it replaced."""
+
+    @staticmethod
+    def assert_matches(p, q):
+        product = p * q
+        assert product == reference_mul(p, q)
+        assert all(coeff != 0 for _, coeff in product.terms())
+        return product
+
+    def test_seeded(self):
+        # Coefficients from a small set, so that products cancel often.
+        rng = random.Random(21)
+
+        def sparse(max_terms):
+            return Poly2({(rng.randint(0, 4), rng.randint(0, 4)):
+                          Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2)))
+                          for _ in range(rng.randint(0, max_terms))})
+
+        for _ in range(300):
+            p, one_term = sparse(8), sparse(1)
+            self.assert_matches(p, one_term)
+            self.assert_matches(one_term, p)
+            self.assert_matches(p, sparse(8))
+            self.assert_matches(p, Poly2.const(rand_frac(rng)))
+
+    def test_zero_and_constant_factors(self):
+        p = Poly2.affine(2, Fraction(-1, 3), 5) * X * Y
+        for factor in (Poly2.zero(), Poly2.const(1), Poly2.const(Fraction(-7, 3))):
+            self.assert_matches(p, factor)
+            self.assert_matches(factor, p)
+        assert self.assert_matches(Poly2.zero(), Poly2.zero()).is_zero
+
+    def test_cancelling_products(self):
+        # In the second and third cases every key that two products reach
+        # cancels to zero.
+        one = Poly2.const(1)
+        cases = [
+            (X + Y, X - Y, X * X - Y * Y),
+            (X * X + X * Y + Y * Y, X - Y, X ** 3 - Y ** 3),
+            (one + X + X ** 2 + X ** 3, one - X, one - X ** 4),
+            ((X + Y) ** 2, (X - Y) ** 2, X ** 4 - 2 * X ** 2 * Y ** 2 + Y ** 4),
+        ]
+        for p, q, expected in cases:
+            assert self.assert_matches(p, q) == expected
+            assert self.assert_matches(q, p) == expected
 
 
 class TestCalculus:
