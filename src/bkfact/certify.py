@@ -33,6 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
+from operator import mul
 from typing import ClassVar, Optional, Union
 
 from .errors import DegreeTooHighError, PreconditionViolatedError
@@ -435,12 +437,11 @@ def bernstein_certify(request: CertRequest) -> Certificate:
     faces exist and all lie on x = +-m or y = +-n, which the open box
     excludes, the supremum of |D| is eps and the certificate's margin is 0.
 
-    Otherwise the exact value at the subrectangle center (always strictly
-    inside the original box) is checked for a violation, and the rectangle
-    is bisected along its longer side (ties split x) until the depth budget
-    runs out.  Remaining rectangles produce Unknown with the largest
-    enclosure overshoot as the gap.  The traversal order is fixed, so
-    results are deterministic.
+    Otherwise the subrectangle center (always strictly inside the original
+    box) is checked for a violation, and the rectangle is bisected along its
+    longer side (ties split x) until the depth budget runs out.  Remaining
+    rectangles produce Unknown with the largest enclosure overshoot as the
+    gap.  The traversal order is fixed, so results are deterministic.
 
     Only the root's enclosure is converted from D's power form; each child
     is derived from its parent's enclosure, which rides on the stack with
@@ -448,43 +449,52 @@ def bernstein_certify(request: CertRequest) -> Certificate:
     Nodes are decided in integers on the enclosure's numerators over its
     denominator Q: for top = Q*max|b| and eps = p/q, max|b| < eps is
     top*q < p*Q, and at equality the face rule compares the numerators with
-    top = eps*Q.
+    top = eps*Q.  The center value is read off the grid, as S/(Q*2^(dx+dy))
+    with S = sum of C(dx, r)*C(dy, s)*numerators[r][s], and d.eval runs only
+    to confirm a witness.  After kx splits along x and ky along y the sides
+    are 2m/2^kx and 2n/2^ky, compared in integers; depth is kx + ky.  The
+    children are the enclosure's halves(axis), pushed with their rectangles.
     """
     d = request.d
     eps = request.eps
     box = request.box
-    worst_inside = Fraction(0)
-    worst_leaf = Fraction(0)  # a depth-capped leaf's max|b| is at least eps > 0
-    stack: list[tuple[Fraction, Fraction, Fraction, Fraction, int,
-                      Optional[RangeEnclosure]]] = [(-box.m, box.m, -box.n, box.n, 0, None)]
+    dx, dy = max(d.x_degree, 0), max(d.y_degree, 0)
+    x_weights, y_weights = ([comb(k, r) for r in range(k + 1)] for k in (dx, dy))
+    x_side, y_side = box.m.numerator * box.n.denominator, box.n.numerator * box.m.denominator
+    worst_inside = (0, 1)  # the largest max|b| as (numerator, denominator)
+    worst_leaf = (0, 1)  # a depth-capped leaf's max|b| is at least eps > 0
+    stack: list[tuple[Fraction, Fraction, Fraction, Fraction, int, int,
+                      Optional[RangeEnclosure]]] = [(-box.m, box.m, -box.n, box.n, 0, 0, None)]
     while stack:
-        xlo, xhi, ylo, yhi, depth, parent = stack.pop()
+        xlo, xhi, ylo, yhi, kx, ky, parent = stack.pop()
         enclosure = bernstein_on_rect(d, xlo, xhi, ylo, yhi, parent=parent)
         grid, scale = enclosure.numerators, enclosure.denominator
         top = max(max(map(max, grid)), -min(map(min, grid)))
         lhs, rhs = top * eps.denominator, eps.numerator * scale
         if lhs < rhs or (lhs == rhs and _touches_only_outer_boundary(
                 grid, top, (xlo == -box.m, xhi == box.m), (ylo == -box.n, yhi == box.n))):
-            if top * worst_inside.denominator > worst_inside.numerator * scale:
-                worst_inside = Fraction(top, scale)
+            if top * worst_inside[1] > worst_inside[0] * scale:
+                worst_inside = (top, scale)
             continue
-        cx = (xlo + xhi) / 2
-        cy = (ylo + yhi) / 2
-        value = d.eval(cx, cy)
-        if abs(value) >= eps:
-            return Violated(witness=(cx, cy), value=value)
-        if depth < request.max_depth:
-            if xhi - xlo >= yhi - ylo:
-                stack.append((cx, xhi, ylo, yhi, depth + 1, enclosure))
-                stack.append((xlo, cx, ylo, yhi, depth + 1, enclosure))
+        center = sum(map(mul, x_weights, [sum(map(mul, y_weights, row)) for row in grid]))
+        if abs(center) * eps.denominator >= eps.numerator * (scale << (dx + dy)):
+            witness = ((xlo + xhi) / 2, (ylo + yhi) / 2)
+            value = d.eval(*witness)
+            if abs(value) >= eps:
+                return Violated(witness=witness, value=value)
+        if kx + ky < request.max_depth:
+            if x_side << ky >= y_side << kx:
+                axis, kx = "x", kx + 1
             else:
-                stack.append((xlo, xhi, cy, yhi, depth + 1, enclosure))
-                stack.append((xlo, xhi, ylo, cy, depth + 1, enclosure))
-        elif top * worst_leaf.denominator > worst_leaf.numerator * scale:
-            worst_leaf = Fraction(top, scale)
-    if worst_leaf:
-        return Unknown(gap=worst_leaf - eps)
-    return CertifiedInside(margin=eps - worst_inside)
+                axis, ky = "y", ky + 1
+            lower, upper = enclosure.halves(axis)
+            stack.append((*upper.rect, kx, ky, enclosure))
+            stack.append((*lower.rect, kx, ky, enclosure))
+        elif top * worst_leaf[1] > worst_leaf[0] * scale:
+            worst_leaf = (top, scale)
+    if worst_leaf[0]:
+        return Unknown(gap=Fraction(*worst_leaf) - eps)
+    return CertifiedInside(margin=eps - Fraction(*worst_inside))
 
 
 def sample_falsify(request: CertRequest, grid_k: int) -> Optional[Violated]:

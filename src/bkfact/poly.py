@@ -4,8 +4,8 @@ A polynomial in x and y is a finite map from exponent pairs (i, j) to nonzero
 Fraction coefficients.  The zero polynomial is the empty map and reports total
 degree -1 so that degree comparisons stay total.  All arithmetic is exact;
 floats are rejected at construction so rounding can never leak into a decision
-path.  Every value is immutable after construction, which makes the whole
-module safe for unrestricted concurrent use.
+path.  Every value is immutable after construction (a RangeEnclosure only
+memoises its halves), so the whole module is safe for concurrent use.
 
 Canonical term order for display and iteration is (total degree descending,
 x-degree descending), so e.g. x^2 comes before x*y before y^2 before x.
@@ -13,12 +13,12 @@ x-degree descending), so e.g. x^2 comes before x*y before y^2 before x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import comb, lcm
 from operator import add, mul
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Union
 
 Scalar = Union[int, str, Fraction]
 
@@ -288,11 +288,12 @@ class RangeEnclosure:
     == compares this representation, not the values it stands for: a grid
     halved from its parent's and the direct conversion of the same rectangle
     hold equal b[r][s] over different denominators, so compare coefficients,
-    lo or hi for equal values."""
+    lo or hi for equal values; the memo of halves(axis) is not compared."""
 
     numerators: tuple[tuple[int, ...], ...]
     denominator: int
     rect: tuple[Fraction, Fraction, Fraction, Fraction]
+    _halves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def lo(self) -> Fraction:
@@ -306,6 +307,42 @@ class RangeEnclosure:
     def coefficients(self) -> tuple[tuple[Fraction, ...], ...]:
         """The b[r][s] as Fractions."""
         return tuple(tuple(Fraction(b, self.denominator) for b in row) for row in self.numerators)
+
+    def halves(self, axis: str) -> tuple["RangeEnclosure", "RangeEnclosure"]:
+        """The enclosures on the lower and upper half of rect along axis, "x"
+        or "y": de Casteljau at t = 1/2 on the rows along axis (a y split
+        transposes in and, per half, out), memoised so that a node's two
+        children share one triangle.  After j passes of pairwise sums a[i] =
+        sum of C(j, k)*b[i + k], and a[0]/2^j and a[d - j]/2^j are the lower
+        half's coefficient j and the upper half's d - j; shifting by d - j puts
+        both over the denominator times 2^d.  O(dx^2*dy) (x) or O(dx*dy^2) (y)
+        integer additions and shifts; only the midpoint is a Fraction."""
+        if axis not in self._halves:
+            if axis not in ("x", "y"):
+                raise ValueError(f"unknown axis {axis!r}")
+            along_y = axis == "y"
+            a = list(zip(*self.numerators) if along_y else self.numerators)
+            d = len(a) - 1
+            lower, upper = [()] * (d + 1), [()] * (d + 1)
+            for j in range(d + 1):
+                if j:
+                    # Lists: a tuple built from an iterator piles up on the free list.
+                    for i in range(d - j + 1):
+                        a[i] = list(map(add, a[i], a[i + 1]))
+                lower[j] = tuple([b << (d - j) for b in a[0]])
+                upper[d - j] = tuple([b << (d - j) for b in a[d - j]])
+            x0, x1, y0, y1 = self.rect
+            if along_y:
+                mid = (y0 + y1) / 2
+                rects = ((x0, x1, y0, mid), (x0, x1, mid, y1))
+            else:
+                mid = (x0 + x1) / 2
+                rects = ((x0, mid, y0, y1), (mid, x1, y0, y1))
+            self._halves[axis] = tuple([
+                RangeEnclosure(tuple(list(zip(*half)) if along_y else half),
+                               self.denominator << d, rect)
+                for half, rect in zip((lower, upper), rects)])
+        return self._halves[axis]
 
 
 @cache
@@ -374,37 +411,6 @@ def _power_to_bernstein(p: Poly2, rect: tuple[Fraction, Fraction, Fraction, Frac
     return RangeEnclosure(grid, denominator * mx * my, rect)
 
 
-def _is_upper_half(lo: Fraction, hi: Fraction, parent_lo: Fraction, parent_hi: Fraction) -> bool:
-    mid = (parent_lo + parent_hi) / 2
-    if (lo, hi) == (parent_lo, mid):
-        return False
-    if (lo, hi) == (mid, parent_hi):
-        return True
-    raise ValueError("the rectangle is not a half of the parent enclosure's rectangle")
-
-
-def _halve(rows: Sequence[Sequence[int]], upper: bool) -> tuple[tuple[int, ...], ...]:
-    """De Casteljau at t = 1/2 along the first index of the numerators
-    b[0..d] (each row a vector along the other axis): the lower or upper
-    half's numerators, over the denominator times 2^d.
-
-    After j passes of pairwise sums, a[i] = sum of C(j, k)*b[i + k], and
-    a[0]/2^j and a[d - j]/2^j are the lower half's coefficient j and the
-    upper half's coefficient d - j; shifting by d - j puts them over 2^d.
-    """
-    d = len(rows) - 1
-    a = list(rows)
-    half = [()] * (d + 1)
-    for j in range(d + 1):
-        if j:
-            # Lists: a tuple built from an iterator piles up on the free list.
-            for i in range(d - j + 1):
-                a[i] = list(map(add, a[i], a[i + 1]))
-        k = d - j if upper else j
-        half[k] = tuple([b << (d - j) for b in a[d - j if upper else 0]])
-    return tuple(half)
-
-
 def bernstein_on_rect(p: Poly2, xlo: Scalar, xhi: Scalar, ylo: Scalar, yhi: Scalar, *,
                       parent: RangeEnclosure | None = None) -> RangeEnclosure:
     """Range enclosure of p on the closed rectangle [xlo, xhi] x [ylo, yhi],
@@ -431,26 +437,25 @@ def bernstein_on_rect(p: Poly2, xlo: Scalar, xhi: Scalar, ylo: Scalar, yhi: Scal
     dy)) integer operations in all (direct: O(dx^2*dy^2)); no Fraction is built.
 
     With parent, p's enclosure on a rectangle whose lower or upper half
-    along x or along y this rectangle is, the grid is the parent's halved by
-    de Casteljau at t = 1/2 along that axis: O(dx^2*dy) (x) or O(dx*dy^2)
-    (y) integer additions and shifts, and the denominator grows by 2^dx or
-    2^dy.  Any other rectangle raises ValueError.  p itself is not read.
+    along x or along y this rectangle is, the result is that half from
+    parent.halves(axis), found by comparing rectangles; any other rectangle,
+    the parent's own included, raises ValueError.  p itself is not read.
     """
     rect = (as_fraction(xlo), as_fraction(xhi), as_fraction(ylo), as_fraction(yhi))
     if parent is None:
         return _power_to_bernstein(p, rect)
-    x0, x1, y0, y1 = rect
-    px0, px1, py0, py1 = parent.rect
-    grid = parent.numerators
-    if y0 == py0 and y1 == py1:
-        grid = _halve(grid, _is_upper_half(x0, x1, px0, px1))
-        shift = len(grid) - 1
-    elif x0 == px0 and x1 == px1:
-        grid = tuple(list(zip(*_halve(list(zip(*grid)), _is_upper_half(y0, y1, py0, py1)))))
-        shift = len(grid[0]) - 1
+    # A half keeps the parent's other sides.  Tuple == skips comparing endpoints that
+    # are one object, as they are when bernstein_certify passes a half's own rect.
+    if rect[2:] == parent.rect[2:]:
+        halves = parent.halves("x")
+    elif rect[:2] == parent.rect[:2]:
+        halves = parent.halves("y")
     else:
-        raise ValueError("the rectangle is not a half of the parent enclosure's rectangle")
-    return RangeEnclosure(grid, parent.denominator << shift, rect)
+        halves = ()
+    for half in halves:
+        if half.rect == rect:
+            return half
+    raise ValueError("the rectangle is not a half of the parent enclosure's rectangle")
 
 
 def format_poly(p: Poly2) -> str:

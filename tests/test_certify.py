@@ -2,6 +2,7 @@
 Bernstein subdivision, and the grid falsifier."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -588,6 +589,58 @@ class TestBernsteinCertify:
         assert len(nodes) == 2 * len({args[1:] for args in nodes}) > 2 * request.max_depth
         assert all(len(args) == 5 and args[0] is d
                    and all(type(c) is Fraction for c in args[1:]) for args in nodes)
+
+    def test_eval_only_confirms_witnesses(self, monkeypatch):
+        # Each node's center value is read off its grid; d.eval runs once
+        # per Violated, to confirm the witness, and never for inside or unknown.
+        evaluate, calls = Poly2.eval, []
+
+        def counted(p, x0, y0):
+            calls.append((x0, y0))
+            return evaluate(p, x0, y0)
+
+        monkeypatch.setattr(Poly2, "eval", counted)
+        rng = random.Random(20261021)
+        requests = [CertRequest(X ** 4, UNIT, 2, 8), CertRequest(X ** 4, UNIT, Fraction(1, 2), 8),
+                    CertRequest(X ** 4 - (Y - Poly2.const(Fraction(1, 3))) ** 2 / 4, UNIT, 1, 4),
+                    CertRequest(Poly2.const(1) - X * X * Y * Y, UNIT, 1, 4)]
+        for _ in range(150):
+            box = Box(abs(rand_nonzero_frac(rng, 3, 3)), abs(rand_nonzero_frac(rng, 3, 3)))
+            requests.append(CertRequest(_sparse_high_degree(rng), box,
+                                        abs(rand_nonzero_frac(rng, 4, 3)), rng.randint(0, 5)))
+        kinds = Counter()
+        for request in requests:
+            calls.clear()
+            cert = bernstein_certify(request)
+            kinds[cert.kind] += 1
+            assert calls == ([cert.witness] if cert.kind == "violated" else []), request
+        assert min(kinds[kind] for kind in ("inside", "violated", "unknown")) >= 5, kinds
+
+    @pytest.mark.parametrize("ratio", [1, 2, Fraction(1, 2), 3, Fraction(3, 5), Fraction(4, 3)])
+    def test_splits_longer_side(self, monkeypatch, ratio):
+        # The split axis comes from the split counts kx and ky; each child
+        # must halve the longer side of its parent's rectangle, x on a tie.
+        # Every node at one depth has the same sides, so the one path this
+        # boundary-tight case follows down to depth 12 checks each depth.
+        box = Box(ratio * Fraction(5, 7), Fraction(5, 7))
+        d = (X / box.m) ** 4 - (Y / box.n - Poly2.const(Fraction(1, 3))) ** 2 / 4
+        enclose, splits = certify.bernstein_on_rect, []
+
+        def recorded(p, xlo, xhi, ylo, yhi, *, parent=None):
+            if parent is not None:
+                px0, px1, py0, py1 = parent.rect
+                splits.append((px1 - px0, py1 - py0, (xhi - xlo, yhi - ylo)))
+            return enclose(p, xlo, xhi, ylo, yhi, parent=parent)
+
+        monkeypatch.setattr(certify, "bernstein_on_rect", recorded)
+        assert bernstein_certify(CertRequest(d, box, 1)).kind == "unknown"
+        depth = {(2 * box.m / wx).numerator.bit_length() + (2 * box.n / wy).numerator.bit_length()
+                 - 1 for wx, wy, _ in splits}
+        assert max(depth) == 12
+        for wx, wy, sides in splits:
+            assert sides == ((wx / 2, wy) if wx >= wy else (wx, wy / 2)), (wx, wy, sides)
+        ties = sum(wx == wy for wx, wy, _ in splits)
+        assert (ties > 0) == (ratio in (1, 2, Fraction(1, 2)))
 
 
 def _separable_even(rng: random.Random, box: Box) -> tuple[Poly2, Fraction]:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -420,6 +421,95 @@ class TestHalvingAgainstReference:
     def test_high_degree(self, text, rect):
         self._walk(random.Random(text), parse_poly(text),
                    tuple(map(Fraction, rect)), 12)
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_rejects_wrong_width_and_parent(self, axis):
+        # Each rectangle shares one end with the parent along axis, or both:
+        # a quarter and three quarters from either end, and the parent itself.
+        p = parse_poly("(3/2*x*y - x + 5/4*y^2 - 1)^3")
+        rect = (Fraction(-2, 3), Fraction(4, 5), Fraction(-5, 7), Fraction(1, 3))
+        parent = bernstein_on_rect(p, *rect)
+        k = 0 if axis == "x" else 2
+        lo, hi = rect[k:k + 2]
+        quarter = (hi - lo) / 4
+        for ends in ((lo, lo + quarter), (lo, hi - quarter), (lo + quarter, hi),
+                     (hi - quarter, hi), (lo, hi)):
+            with pytest.raises(ValueError):
+                bernstein_on_rect(p, *(rect[:k] + ends + rect[k + 2:]), parent=parent)
+
+
+def _grid_center(enclosure: RangeEnclosure) -> Fraction:
+    """The polynomial's value at the rectangle's center, read off the grid:
+    at u = v = 1/2 every B_r(u)*B_s(v) is C(dx, r)*C(dy, s)/2^(dx+dy)."""
+    grid = enclosure.numerators
+    dx, dy = len(grid) - 1, len(grid[0]) - 1
+    total = sum(comb(dx, r) * comb(dy, s) * b
+                for r, row in enumerate(grid) for s, b in enumerate(row))
+    return Fraction(total, enclosure.denominator << (dx + dy))
+
+
+class TestCenterFromGrid:
+    """The center value bernstein_certify reads off each node's grid against
+    Poly2.eval at the node's center, along random halving paths."""
+
+    def _walk(self, rng: random.Random, p: Poly2, rect: tuple[Fraction, ...],
+              depth: int) -> None:
+        enclosure = bernstein_on_rect(p, *rect)
+        for _ in range(depth + 1):
+            xlo, xhi, ylo, yhi = enclosure.rect
+            assert _grid_center(enclosure) == p.eval((xlo + xhi) / 2, (ylo + yhi) / 2), (p, rect)
+            enclosure = enclosure.halves(rng.choice("xy"))[rng.randrange(2)]
+
+    def test_seeded(self):
+        rng = random.Random(20)
+        shapes = TestBernsteinAgainstReference.SHAPES
+        for index in range(84):
+            shape = shapes[index % len(shapes)]
+            p = _shaped_poly(rng, shape, rng.randint(0, 8), rng.randint(0, 8))
+            rect = _dyadic_rectangle(rng) if index % 3 == 0 else _random_rectangle(rng)
+            self._walk(rng, p, rect, rng.randint(12, 16))
+
+    @pytest.mark.parametrize("text", ["0", "-7/3", "(x - 2/7)^5 - 1/3*x", "(3/5*y - 1/3)^6 + y",
+                                      "(x + 1/3*y - 2/7)^16", "(x^2 - 2/3*x*y + 1/5*y - 3/7)^8"])
+    def test_shapes(self, text):
+        rect = (Fraction(2, 9), Fraction(47, 90), Fraction(-5, 7), Fraction(-27, 77))
+        self._walk(random.Random(text), parse_poly(text), rect, 12)
+
+
+class TestHalves:
+    """RangeEnclosure.halves(axis): both halves from one de Casteljau
+    triangle, memoised on the enclosure."""
+
+    def test_against_reference(self):
+        rng = random.Random(23)
+        shapes = TestBernsteinAgainstReference.SHAPES
+        for index in range(140):
+            p = _shaped_poly(rng, shapes[index % len(shapes)], rng.randint(0, 6), rng.randint(0, 6))
+            rect = _dyadic_rectangle(rng) if index % 2 else _random_rectangle(rng)
+            enclosure = bernstein_on_rect(p, *rect)
+            xlo, xhi, ylo, yhi = rect
+            xmid, ymid = (xlo + xhi) / 2, (ylo + yhi) / 2
+            for axis, rects in (("x", [(xlo, xmid, ylo, yhi), (xmid, xhi, ylo, yhi)]),
+                                ("y", [(xlo, xhi, ylo, ymid), (xlo, xhi, ymid, yhi)])):
+                pair = enclosure.halves(axis)
+                assert [half.rect for half in pair] == rects
+                for half, half_rect in zip(pair, rects):
+                    expected = reference_bernstein_coefficients(p, *half_rect)
+                    assert [list(row) for row in half.coefficients] == expected, (p, half_rect)
+                    assert all(type(b) is int for row in half.numerators for b in row)
+
+    def test_memoised_and_not_compared(self):
+        p = parse_poly("x^3*y - 2/3*y^2 + x")
+        enclosure = bernstein_on_rect(p, -1, 1, Fraction(-1, 2), Fraction(1, 2))
+        fresh = RangeEnclosure(enclosure.numerators, enclosure.denominator, enclosure.rect)
+        for axis in ("x", "y"):
+            pair = enclosure.halves(axis)
+            assert enclosure.halves(axis) is pair
+            assert bernstein_on_rect(p, *pair[1].rect, parent=enclosure) is pair[1]
+        assert fresh == enclosure and hash(fresh) == hash(enclosure)
+        assert repr(fresh) == repr(enclosure)
+        with pytest.raises(ValueError):
+            enclosure.halves("z")
 
 
 class TestDisplay:
