@@ -33,12 +33,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import comb
 from operator import mul
 from typing import ClassVar, Optional, Union
 
 from .errors import DegreeTooHighError, PreconditionViolatedError
-from .poly import Box, Poly2, RangeEnclosure, Scalar, as_fraction, bernstein_on_rect
+from . import poly
+from .poly import Box, Poly2, RangeEnclosure, Scalar, as_fraction
 
 Point = tuple[Fraction, Fraction]
 DEFAULT_DEPTH = 12  # Bernstein subdivision depth budget
@@ -423,6 +425,16 @@ def _touches_only_outer_boundary(grid: tuple[tuple[int, ...], ...], level: int,
     return reached
 
 
+def bernstein_on_rect(d: Poly2, xlo: Fraction, xhi: Fraction, ylo: Fraction, yhi: Fraction,
+                      *, node: Optional[RangeEnclosure] = None) -> RangeEnclosure:
+    """d's enclosure on the node [xlo, xhi] x [ylo, yhi] of bernstein_certify:
+    poly.bernstein_on_rect at the root, node (a half of its parent's) below.
+    Called once per node with positional arguments, so that the tracer in
+    bench/spans.py and the tests can wrap this name and see every node; it
+    goes once the tracer counts nodes inside bernstein_certify."""
+    return poly.bernstein_on_rect(d, xlo, xhi, ylo, yhi) if node is None else node
+
+
 def bernstein_certify(request: CertRequest) -> Certificate:
     """Certify |D| < eps on the open box by Bernstein subdivision.
 
@@ -443,17 +455,17 @@ def bernstein_certify(request: CertRequest) -> Certificate:
     rectangles produce Unknown with the largest enclosure overshoot as the
     gap.  The traversal order is fixed, so results are deterministic.
 
-    Only the root's enclosure is converted from D's power form; each child
-    is derived from its parent's enclosure, which rides on the stack with
-    it, by de Casteljau halving along the split axis (see bernstein_on_rect).
-    Nodes are decided in integers on the enclosure's numerators over its
-    denominator Q: for top = Q*max|b| and eps = p/q, max|b| < eps is
-    top*q < p*Q, and at equality the face rule compares the numerators with
-    top = eps*Q.  The center value is read off the grid, as S/(Q*2^(dx+dy))
-    with S = sum of C(dx, r)*C(dy, s)*numerators[r][s], and d.eval runs only
-    to confirm a witness.  After kx splits along x and ky along y the sides
-    are 2m/2^kx and 2n/2^ky, compared in integers; depth is kx + ky.  The
-    children are the enclosure's halves(axis), pushed with their rectangles.
+    Only the root's enclosure is converted from D's power form.  Nodes are
+    decided in integers on the enclosure's numerators over its denominator
+    Q: for top = Q*max|b| and eps = p/q, max|b| < eps is top*q < p*Q, and at
+    equality the face rule compares the numerators with top = eps*Q.  The
+    center value is read off the grid, as S/(Q*2^(dx+dy)) with S = sum of
+    C(dx, r)*C(dy, s)*numerators[r][s], and d.eval runs only to confirm a
+    witness.  After kx splits along x and ky along y the sides are 2m/2^kx
+    and 2n/2^ky, compared in integers; depth is kx + ky.  A split builds its
+    one midpoint and pushes both halves(axis) of the enclosure, one de
+    Casteljau triangle, with their rectangles, upper first; each node's
+    enclosure then comes through the bernstein_on_rect hook.
     """
     d = request.d
     eps = request.eps
@@ -466,10 +478,10 @@ def bernstein_certify(request: CertRequest) -> Certificate:
     stack: list[tuple[Fraction, Fraction, Fraction, Fraction, int, int,
                       Optional[RangeEnclosure]]] = [(-box.m, box.m, -box.n, box.n, 0, 0, None)]
     while stack:
-        xlo, xhi, ylo, yhi, kx, ky, parent = stack.pop()
-        enclosure = bernstein_on_rect(d, xlo, xhi, ylo, yhi, parent=parent)
+        xlo, xhi, ylo, yhi, kx, ky, node = stack.pop()
+        enclosure = bernstein_on_rect(d, xlo, xhi, ylo, yhi, node=node)
         grid, scale = enclosure.numerators, enclosure.denominator
-        top = max(max(map(max, grid)), -min(map(min, grid)))
+        top = max(map(abs, chain.from_iterable(grid)))
         lhs, rhs = top * eps.denominator, eps.numerator * scale
         if lhs < rhs or (lhs == rhs and _touches_only_outer_boundary(
                 grid, top, (xlo == -box.m, xhi == box.m), (ylo == -box.n, yhi == box.n))):
@@ -484,12 +496,13 @@ def bernstein_certify(request: CertRequest) -> Certificate:
                 return Violated(witness=witness, value=value)
         if kx + ky < request.max_depth:
             if x_side << ky >= y_side << kx:
-                axis, kx = "x", kx + 1
+                kx, mid = kx + 1, (xlo + xhi) / 2
+                lower, upper = enclosure.halves("x")
+                stack += [(mid, xhi, ylo, yhi, kx, ky, upper), (xlo, mid, ylo, yhi, kx, ky, lower)]
             else:
-                axis, ky = "y", ky + 1
-            lower, upper = enclosure.halves(axis)
-            stack.append((*upper.rect, kx, ky, enclosure))
-            stack.append((*lower.rect, kx, ky, enclosure))
+                ky, mid = ky + 1, (ylo + yhi) / 2
+                lower, upper = enclosure.halves("y")
+                stack += [(xlo, xhi, mid, yhi, kx, ky, upper), (xlo, xhi, ylo, mid, kx, ky, lower)]
         elif top * worst_leaf[1] > worst_leaf[0] * scale:
             worst_leaf = (top, scale)
     if worst_leaf[0]:

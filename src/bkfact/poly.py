@@ -4,8 +4,8 @@ A polynomial in x and y is a finite map from exponent pairs (i, j) to nonzero
 Fraction coefficients.  The zero polynomial is the empty map and reports total
 degree -1 so that degree comparisons stay total.  All arithmetic is exact;
 floats are rejected at construction so rounding can never leak into a decision
-path.  Every value is immutable after construction (a RangeEnclosure only
-memoises its halves), so the whole module is safe for concurrent use.
+path.  Every value is immutable after construction, so the whole module is
+safe for concurrent use.
 
 Canonical term order for display and iteration is (total degree descending,
 x-degree descending), so e.g. x^2 comes before x*y before y^2 before x.
@@ -13,7 +13,7 @@ x-degree descending), so e.g. x^2 comes before x*y before y^2 before x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, lcm
@@ -280,20 +280,18 @@ class Box:
 
 @dataclass(frozen=True)
 class RangeEnclosure:
-    """A polynomial's Bernstein coefficients on the rectangle rect = (xlo,
-    xhi, ylo, yhi), held as integer numerators over one positive
-    denominator, b[r][s] = numerators[r][s] / denominator; their min and max
-    [lo, hi] enclose its range there.
+    """A polynomial's Bernstein coefficients on a rectangle, held as integer
+    numerators over one positive denominator, b[r][s] = numerators[r][s] /
+    denominator; their min and max [lo, hi] enclose its range there.  The
+    caller keeps the rectangle.
 
     == compares this representation, not the values it stands for: a grid
     halved from its parent's and the direct conversion of the same rectangle
     hold equal b[r][s] over different denominators, so compare coefficients,
-    lo or hi for equal values; the memo of halves(axis) is not compared."""
+    lo or hi for equal values."""
 
     numerators: tuple[tuple[int, ...], ...]
     denominator: int
-    rect: tuple[Fraction, Fraction, Fraction, Fraction]
-    _halves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def lo(self) -> Fraction:
@@ -309,40 +307,29 @@ class RangeEnclosure:
         return tuple(tuple(Fraction(b, self.denominator) for b in row) for row in self.numerators)
 
     def halves(self, axis: str) -> tuple["RangeEnclosure", "RangeEnclosure"]:
-        """The enclosures on the lower and upper half of rect along axis, "x"
-        or "y": de Casteljau at t = 1/2 on the rows along axis (a y split
-        transposes in and, per half, out), memoised so that a node's two
-        children share one triangle.  After j passes of pairwise sums a[i] =
-        sum of C(j, k)*b[i + k], and a[0]/2^j and a[d - j]/2^j are the lower
-        half's coefficient j and the upper half's d - j; shifting by d - j puts
-        both over the denominator times 2^d.  O(dx^2*dy) (x) or O(dx*dy^2) (y)
-        integer additions and shifts; only the midpoint is a Fraction."""
-        if axis not in self._halves:
-            if axis not in ("x", "y"):
-                raise ValueError(f"unknown axis {axis!r}")
-            along_y = axis == "y"
-            a = list(zip(*self.numerators) if along_y else self.numerators)
-            d = len(a) - 1
-            lower, upper = [()] * (d + 1), [()] * (d + 1)
-            for j in range(d + 1):
-                if j:
-                    # Lists: a tuple built from an iterator piles up on the free list.
-                    for i in range(d - j + 1):
-                        a[i] = list(map(add, a[i], a[i + 1]))
-                lower[j] = tuple([b << (d - j) for b in a[0]])
-                upper[d - j] = tuple([b << (d - j) for b in a[d - j]])
-            x0, x1, y0, y1 = self.rect
-            if along_y:
-                mid = (y0 + y1) / 2
-                rects = ((x0, x1, y0, mid), (x0, x1, mid, y1))
-            else:
-                mid = (x0 + x1) / 2
-                rects = ((x0, mid, y0, y1), (mid, x1, y0, y1))
-            self._halves[axis] = tuple([
-                RangeEnclosure(tuple(list(zip(*half)) if along_y else half),
-                               self.denominator << d, rect)
-                for half, rect in zip((lower, upper), rects)])
-        return self._halves[axis]
+        """The enclosures on the lower and upper half of the rectangle along
+        axis, "x" or "y": de Casteljau at t = 1/2 on the rows along axis (a y
+        split transposes in and, per half, out), so that both halves come
+        from one triangle.  After j passes of pairwise sums a[i] = sum of
+        C(j, k)*b[i + k], and a[0]/2^j and a[d - j]/2^j are the lower half's
+        coefficient j and the upper half's d - j; shifting by d - j puts both
+        over the denominator times 2^d.  O(dx^2*dy) (x) or O(dx*dy^2) (y)
+        integer additions and shifts; no Fraction is built."""
+        if axis not in ("x", "y"):
+            raise ValueError(f"unknown axis {axis!r}")
+        along_y = axis == "y"
+        a = list(zip(*self.numerators) if along_y else self.numerators)
+        d = len(a) - 1
+        lower, upper = [()] * (d + 1), [()] * (d + 1)
+        for j in range(d + 1):
+            if j:
+                # Lists: a tuple built from an iterator piles up on the free list.
+                for i in range(d - j + 1):
+                    a[i] = list(map(add, a[i], a[i + 1]))
+            lower[j] = tuple([b << (d - j) for b in a[0]])
+            upper[d - j] = tuple([b << (d - j) for b in a[d - j]])
+        return tuple([RangeEnclosure(tuple(list(zip(*half)) if along_y else half),
+                                     self.denominator << d) for half in (lower, upper)])
 
 
 @cache
@@ -408,11 +395,11 @@ def _power_to_bernstein(p: Poly2, rect: tuple[Fraction, Fraction, Fraction, Frac
     my, y_weights = _weights(dy)
     # tuple() of a list: a tuple built from an iterator is resized, and piles up on the free list.
     grid = tuple([tuple([sum(map(mul, weights, row)) for weights in y_weights]) for row in rows])
-    return RangeEnclosure(grid, denominator * mx * my, rect)
+    return RangeEnclosure(grid, denominator * mx * my)
 
 
-def bernstein_on_rect(p: Poly2, xlo: Scalar, xhi: Scalar, ylo: Scalar, yhi: Scalar, *,
-                      parent: RangeEnclosure | None = None) -> RangeEnclosure:
+def bernstein_on_rect(p: Poly2, xlo: Scalar, xhi: Scalar, ylo: Scalar, yhi: Scalar
+                      ) -> RangeEnclosure:
     """Range enclosure of p on the closed rectangle [xlo, xhi] x [ylo, yhi],
     with the tensor-product Bernstein coefficients b[r][s] it is read from,
     0 <= r <= x-degree, 0 <= s <= y-degree, as integer numerators over one
@@ -424,38 +411,20 @@ def bernstein_on_rect(p: Poly2, xlo: Scalar, xhi: Scalar, ylo: Scalar, yhi: Scal
     These are nonnegative and sum to 1, so the minimum and maximum b[r][s]
     enclose the range.  The enclosure is exact for affine polynomials and
     tightens under subdivision, but is generally not tight before it (x^2
-    on [-1, 1] encloses to [-1, 1]).
+    on [-1, 1] encloses to [-1, 1]); RangeEnclosure.halves gives the two
+    halves of a rectangle without another conversion.
 
-    The grid has two sources.  Without parent, it is converted from p's
-    power form.  The transform is separable (Titi & Garloff 2019) and runs
-    in integers (Garloff 1986).  p.lift(1, 1), p's numerators over their lcm
-    L, fills a dense (dx+1) x (dy+1) grid.  First each column is shifted and
-    scaled to qx^dx*a((tx + sx*u)/qx), with xlo = tx/qx and wx = sx/qx, and
-    weighted by M_dx*C(r, k)/C(dx, k); after one transpose each row gets the
-    same two passes in y.  The maps commute, and b[r][s] is the result over
-    L*qx^dx*qy^dy*M_dx*M_dy.  Each pass costs O(d^2) per line, O(dx*dy*(dx +
-    dy)) integer operations in all (direct: O(dx^2*dy^2)); no Fraction is built.
-
-    With parent, p's enclosure on a rectangle whose lower or upper half
-    along x or along y this rectangle is, the result is that half from
-    parent.halves(axis), found by comparing rectangles; any other rectangle,
-    the parent's own included, raises ValueError.  p itself is not read.
+    The grid is converted from p's power form.  The transform is separable
+    (Titi & Garloff 2019) and runs in integers (Garloff 1986).  p.lift(1, 1),
+    p's numerators over their lcm L, fills a dense (dx+1) x (dy+1) grid.
+    First each column is shifted and scaled to qx^dx*a((tx + sx*u)/qx), with
+    xlo = tx/qx and wx = sx/qx, and weighted by M_dx*C(r, k)/C(dx, k); after
+    one transpose each row gets the same two passes in y.  The maps commute,
+    and b[r][s] is the result over L*qx^dx*qy^dy*M_dx*M_dy.  Each pass costs
+    O(d^2) per line, O(dx*dy*(dx + dy)) integer operations in all (direct:
+    O(dx^2*dy^2)); no Fraction is built.
     """
-    rect = (as_fraction(xlo), as_fraction(xhi), as_fraction(ylo), as_fraction(yhi))
-    if parent is None:
-        return _power_to_bernstein(p, rect)
-    # A half keeps the parent's other sides.  Tuple == skips comparing endpoints that
-    # are one object, as they are when bernstein_certify passes a half's own rect.
-    if rect[2:] == parent.rect[2:]:
-        halves = parent.halves("x")
-    elif rect[:2] == parent.rect[:2]:
-        halves = parent.halves("y")
-    else:
-        halves = ()
-    for half in halves:
-        if half.rect == rect:
-            return half
-    raise ValueError("the rectangle is not a half of the parent enclosure's rectangle")
+    return _power_to_bernstein(p, tuple(map(as_fraction, (xlo, xhi, ylo, yhi))))
 
 
 def format_poly(p: Poly2) -> str:

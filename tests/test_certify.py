@@ -624,22 +624,23 @@ class TestBernsteinCertify:
         # boundary-tight case follows down to depth 12 checks each depth.
         box = Box(ratio * Fraction(5, 7), Fraction(5, 7))
         d = (X / box.m) ** 4 - (Y / box.n - Poly2.const(Fraction(1, 3))) ** 2 / 4
-        enclose, splits = certify.bernstein_on_rect, []
+        enclose, sides = certify.bernstein_on_rect, {}
 
-        def recorded(p, xlo, xhi, ylo, yhi, *, parent=None):
-            if parent is not None:
-                px0, px1, py0, py1 = parent.rect
-                splits.append((px1 - px0, py1 - py0, (xhi - xlo, yhi - ylo)))
-            return enclose(p, xlo, xhi, ylo, yhi, parent=parent)
+        def recorded(p, xlo, xhi, ylo, yhi, **kwargs):
+            wx, wy = xhi - xlo, yhi - ylo
+            depth = ((2 * box.m / wx).numerator.bit_length()
+                     + (2 * box.n / wy).numerator.bit_length() - 2)
+            sides.setdefault(depth, set()).add((wx, wy))
+            return enclose(p, xlo, xhi, ylo, yhi, **kwargs)
 
         monkeypatch.setattr(certify, "bernstein_on_rect", recorded)
         assert bernstein_certify(CertRequest(d, box, 1)).kind == "unknown"
-        depth = {(2 * box.m / wx).numerator.bit_length() + (2 * box.n / wy).numerator.bit_length()
-                 - 1 for wx, wy, _ in splits}
-        assert max(depth) == 12
-        for wx, wy, sides in splits:
-            assert sides == ((wx / 2, wy) if wx >= wy else (wx, wy / 2)), (wx, wy, sides)
-        ties = sum(wx == wy for wx, wy, _ in splits)
+        assert sorted(sides) == list(range(13))
+        assert sides[0] == {(2 * box.m, 2 * box.n)}
+        for depth in range(12):
+            (wx, wy), = sides[depth]
+            assert sides[depth + 1] == {(wx / 2, wy) if wx >= wy else (wx, wy / 2)}, depth
+        ties = sum(wx == wy for depth in range(12) for wx, wy in sides[depth])
         assert (ties > 0) == (ratio in (1, 2, Fraction(1, 2)))
 
 
@@ -710,6 +711,54 @@ class TestFaceRuleAgainstReference:
                     assert isinstance(exact, Violated)
                     assert abs(d.eval(*sub.witness)) >= eps and box.contains_open(*sub.witness)
         assert decided > 50
+
+
+class TestNodeRectsAgainstReference:
+    """The rectangles bernstein_certify passes to its bernstein_on_rect
+    hook, in order, against those helpers.reference_bernstein_certify
+    visits: the midpoints, the halves and their push order are kept in
+    certify.py, the reference builds each from the rectangle alone."""
+
+    @staticmethod
+    def _visited(monkeypatch, owner, run, request) -> tuple[object, list, bool]:
+        enclose, touches = owner.bernstein_on_rect, certify._touches_only_outer_boundary
+        rects, fired = [], []
+
+        def recorded(p, xlo, xhi, ylo, yhi, **kwargs):
+            rects.append((xlo, xhi, ylo, yhi))
+            return enclose(p, xlo, xhi, ylo, yhi, **kwargs)
+
+        def face_rule(*args):
+            fired.append(touches(*args))
+            return fired[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, "bernstein_on_rect", recorded)
+            patch.setattr(certify, "_touches_only_outer_boundary", face_rule)
+            return run(request), rects, any(fired)
+
+    def test_matches_reference(self, monkeypatch):
+        rng = random.Random(20261024)
+        compared = Counter()
+        for k in range(600):
+            ratio = (1, Fraction(3, 5))[k % 2]
+            n = abs(rand_nonzero_frac(rng, 3, 3))
+            box = Box(ratio * n, n)
+            eps = abs(rand_nonzero_frac(rng, 4, 3))
+            request = CertRequest(_sparse_high_degree(rng), box, eps,
+                                  max_depth=min(rng.randint(0, 9), rng.randint(0, 9)))
+            got, rects, fired = self._visited(monkeypatch, certify, bernstein_certify, request)
+            expected, expected_rects, _ = self._visited(monkeypatch, helpers,
+                                                        reference_bernstein_certify, request)
+            if fired:
+                # The face rule certifies a node the reference splits further.
+                continue
+            assert got == expected, request
+            assert rects == expected_rects, request
+            assert len(set(rects)) == len(rects)
+            compared[ratio, got.kind] += 1
+        assert min(compared[ratio, kind] for ratio in (1, Fraction(3, 5))
+                   for kind in ("inside", "violated", "unknown")) >= 10, compared
 
 
 class TestSampleFalsify:

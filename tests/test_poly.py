@@ -308,8 +308,10 @@ def _dyadic_rectangle(rng: random.Random) -> tuple[Fraction, ...]:
 
 
 def assert_matches_reference(p: Poly2, rect: tuple[Fraction, ...],
-                             parent: RangeEnclosure | None = None) -> RangeEnclosure:
-    enclosure = bernstein_on_rect(p, *rect, parent=parent)
+                             enclosure: RangeEnclosure | None = None) -> RangeEnclosure:
+    """Checks enclosure, by default bernstein_on_rect(p, *rect), as p's on rect."""
+    if enclosure is None:
+        enclosure = bernstein_on_rect(p, *rect)
     expected = reference_bernstein_coefficients(p, *rect)
     numerators, denominator = enclosure.numerators, enclosure.denominator
     assert type(denominator) is int and denominator > 0
@@ -323,7 +325,6 @@ def assert_matches_reference(p: Poly2, rect: tuple[Fraction, ...],
     assert (enclosure.lo, enclosure.hi) == (min(map(min, expected)), max(map(max, expected)))
     assert len(got) == max(p.x_degree, 0) + 1
     assert all(len(row) == max(p.y_degree, 0) + 1 for row in got)
-    assert enclosure.rect == rect
     return enclosure
 
 
@@ -366,21 +367,16 @@ class TestBernsteinAgainstReference:
                 bernstein_on_rect(X * Y, *rect)
 
 
-def _not_a_half(rng: random.Random, rect: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    xlo, xhi, ylo, yhi = rect
-    xmid, ymid = (xlo + xhi) / 2, (ylo + yhi) / 2
-    return rng.choice([
-        rect,                                       # the parent itself
-        (xlo, xmid, ylo, ymid),                     # a quarter: both axes halved
-        (xlo, (xlo + xmid) / 2, ylo, yhi),          # a quarter of one side
-        (xmid, xhi + (xhi - xlo) / 2, ylo, yhi),    # the right half's width, shifted
-        (xlo, xhi, ylo - (yhi - ylo) / 2, ylo),     # the lower half's width, outside
-        (xlo, xmid, ylo, yhi + 1),                  # x halved, y widened
-    ])
+def _half(rect: tuple[Fraction, ...], axis: str, side: int) -> tuple[Fraction, ...]:
+    """The lower (side 0) or upper (side 1) half of rect along axis."""
+    k = 0 if axis == "x" else 2
+    lo, hi = rect[k:k + 2]
+    mid = (lo + hi) / 2
+    return rect[:k] + ((lo, mid) if side == 0 else (mid, hi)) + rect[k + 2:]
 
 
 class TestHalvingAgainstReference:
-    """bernstein_on_rect with parent= (de Casteljau halving of the parent's
+    """RangeEnclosure.halves(axis) (de Casteljau halving of the parent's
     grid) against the direct conversion of each child, along random
     halving paths from rational root rectangles."""
 
@@ -388,16 +384,9 @@ class TestHalvingAgainstReference:
               depth: int) -> None:
         enclosure = assert_matches_reference(p, rect)
         for _ in range(depth):
-            with pytest.raises(ValueError):
-                bernstein_on_rect(p, *_not_a_half(rng, rect), parent=enclosure)
-            xlo, xhi, ylo, yhi = rect
-            if rng.randrange(2):
-                mid = (xlo + xhi) / 2
-                rect = (xlo, mid, ylo, yhi) if rng.randrange(2) else (mid, xhi, ylo, yhi)
-            else:
-                mid = (ylo + yhi) / 2
-                rect = (xlo, xhi, ylo, mid) if rng.randrange(2) else (xlo, xhi, mid, yhi)
-            enclosure = assert_matches_reference(p, rect, parent=enclosure)
+            axis, side = rng.choice("xy"), rng.randrange(2)
+            rect = _half(rect, axis, side)
+            enclosure = assert_matches_reference(p, rect, enclosure.halves(axis)[side])
 
     def test_seeded(self):
         rng = random.Random(20)
@@ -422,21 +411,6 @@ class TestHalvingAgainstReference:
         self._walk(random.Random(text), parse_poly(text),
                    tuple(map(Fraction, rect)), 12)
 
-    @pytest.mark.parametrize("axis", ["x", "y"])
-    def test_rejects_wrong_width_and_parent(self, axis):
-        # Each rectangle shares one end with the parent along axis, or both:
-        # a quarter and three quarters from either end, and the parent itself.
-        p = parse_poly("(3/2*x*y - x + 5/4*y^2 - 1)^3")
-        rect = (Fraction(-2, 3), Fraction(4, 5), Fraction(-5, 7), Fraction(1, 3))
-        parent = bernstein_on_rect(p, *rect)
-        k = 0 if axis == "x" else 2
-        lo, hi = rect[k:k + 2]
-        quarter = (hi - lo) / 4
-        for ends in ((lo, lo + quarter), (lo, hi - quarter), (lo + quarter, hi),
-                     (hi - quarter, hi), (lo, hi)):
-            with pytest.raises(ValueError):
-                bernstein_on_rect(p, *(rect[:k] + ends + rect[k + 2:]), parent=parent)
-
 
 def _grid_center(enclosure: RangeEnclosure) -> Fraction:
     """The polynomial's value at the rectangle's center, read off the grid:
@@ -456,9 +430,10 @@ class TestCenterFromGrid:
               depth: int) -> None:
         enclosure = bernstein_on_rect(p, *rect)
         for _ in range(depth + 1):
-            xlo, xhi, ylo, yhi = enclosure.rect
+            xlo, xhi, ylo, yhi = rect
             assert _grid_center(enclosure) == p.eval((xlo + xhi) / 2, (ylo + yhi) / 2), (p, rect)
-            enclosure = enclosure.halves(rng.choice("xy"))[rng.randrange(2)]
+            axis, side = rng.choice("xy"), rng.randrange(2)
+            enclosure, rect = enclosure.halves(axis)[side], _half(rect, axis, side)
 
     def test_seeded(self):
         rng = random.Random(20)
@@ -478,7 +453,7 @@ class TestCenterFromGrid:
 
 class TestHalves:
     """RangeEnclosure.halves(axis): both halves from one de Casteljau
-    triangle, memoised on the enclosure."""
+    triangle."""
 
     def test_against_reference(self):
         rng = random.Random(23)
@@ -487,27 +462,34 @@ class TestHalves:
             p = _shaped_poly(rng, shapes[index % len(shapes)], rng.randint(0, 6), rng.randint(0, 6))
             rect = _dyadic_rectangle(rng) if index % 2 else _random_rectangle(rng)
             enclosure = bernstein_on_rect(p, *rect)
-            xlo, xhi, ylo, yhi = rect
-            xmid, ymid = (xlo + xhi) / 2, (ylo + yhi) / 2
-            for axis, rects in (("x", [(xlo, xmid, ylo, yhi), (xmid, xhi, ylo, yhi)]),
-                                ("y", [(xlo, xhi, ylo, ymid), (xlo, xhi, ymid, yhi)])):
+            for axis in ("x", "y"):
                 pair = enclosure.halves(axis)
-                assert [half.rect for half in pair] == rects
-                for half, half_rect in zip(pair, rects):
+                assert len(pair) == 2
+                for side, half in enumerate(pair):
+                    half_rect = _half(rect, axis, side)
                     expected = reference_bernstein_coefficients(p, *half_rect)
                     assert [list(row) for row in half.coefficients] == expected, (p, half_rect)
                     assert all(type(b) is int for row in half.numerators for b in row)
 
-    def test_memoised_and_not_compared(self):
+    def test_value_semantics(self):
+        # An enclosure is its numerators and denominator: equal enclosures
+        # have equal halves, and == and hash compare both fields.
         p = parse_poly("x^3*y - 2/3*y^2 + x")
         enclosure = bernstein_on_rect(p, -1, 1, Fraction(-1, 2), Fraction(1, 2))
-        fresh = RangeEnclosure(enclosure.numerators, enclosure.denominator, enclosure.rect)
-        for axis in ("x", "y"):
-            pair = enclosure.halves(axis)
-            assert enclosure.halves(axis) is pair
-            assert bernstein_on_rect(p, *pair[1].rect, parent=enclosure) is pair[1]
+        fresh = RangeEnclosure(enclosure.numerators, enclosure.denominator)
         assert fresh == enclosure and hash(fresh) == hash(enclosure)
         assert repr(fresh) == repr(enclosure)
+        for axis in ("x", "y"):
+            assert fresh.halves(axis) == enclosure.halves(axis)
+        # No memo rides on an enclosure: halves(axis) leaves it as it was.
+        assert vars(enclosure) == {"numerators": fresh.numerators,
+                                   "denominator": fresh.denominator}
+        doubled = RangeEnclosure(tuple(tuple(2 * b for b in row) for row in enclosure.numerators),
+                                 2 * enclosure.denominator)
+        assert doubled.coefficients == enclosure.coefficients and doubled != enclosure
+        other = RangeEnclosure(enclosure.numerators, enclosure.denominator + 1)
+        assert other != enclosure and hash(other) != hash(enclosure)
+        assert RangeEnclosure(doubled.numerators, enclosure.denominator) != enclosure
         with pytest.raises(ValueError):
             enclosure.halves("z")
 
