@@ -372,32 +372,6 @@ def _shift(lines: list[list[int]], lo: Fraction, w: Fraction) -> int:
     return q ** (len(lines[0]) - 1)
 
 
-def _power_to_bernstein(p: Poly2, rect: tuple[Fraction, Fraction, Fraction, Fraction]
-                        ) -> RangeEnclosure:
-    # The conversion from power form; see bernstein_on_rect.
-    x0, x1, y0, y1 = rect
-    wx = x1 - x0
-    wy = y1 - y0
-    if wx <= 0 or wy <= 0:
-        raise ValueError("rectangle sides must have positive length")
-    dx = max(p.x_degree, 0)
-    dy = max(p.y_degree, 0)
-
-    nums, denominator = p.lift(1, 1)
-    columns = [[0] * (dx + 1) for _ in range(dy + 1)]
-    for (i, j), a in nums.items():
-        columns[j][i] = a
-    denominator *= _shift(columns, x0, wx)
-    mx, x_weights = _weights(dx)
-    weighted = [[sum(map(mul, weights, column)) for weights in x_weights] for column in columns]
-    rows = [list(row) for row in zip(*weighted)]
-    denominator *= _shift(rows, y0, wy)
-    my, y_weights = _weights(dy)
-    # tuple() of a list: a tuple built from an iterator is resized, and piles up on the free list.
-    grid = tuple([tuple([sum(map(mul, weights, row)) for weights in y_weights]) for row in rows])
-    return RangeEnclosure(grid, denominator * mx * my)
-
-
 def bernstein_on_rect(p: Poly2, xlo: Scalar, xhi: Scalar, ylo: Scalar, yhi: Scalar
                       ) -> RangeEnclosure:
     """Range enclosure of p on the closed rectangle [xlo, xhi] x [ylo, yhi],
@@ -416,15 +390,31 @@ def bernstein_on_rect(p: Poly2, xlo: Scalar, xhi: Scalar, ylo: Scalar, yhi: Scal
 
     The grid is converted from p's power form.  The transform is separable
     (Titi & Garloff 2019) and runs in integers (Garloff 1986).  p.lift(1, 1),
-    p's numerators over their lcm L, fills a dense (dx+1) x (dy+1) grid.
-    First each column is shifted and scaled to qx^dx*a((tx + sx*u)/qx), with
-    xlo = tx/qx and wx = sx/qx, and weighted by M_dx*C(r, k)/C(dx, k); after
-    one transpose each row gets the same two passes in y.  The maps commute,
-    and b[r][s] is the result over L*qx^dx*qy^dy*M_dx*M_dy.  Each pass costs
+    p's numerators over their lcm L, fills a dense (dx+1) x (dy+1) grid
+    indexed [i][j].  One pass runs per axis, x first: it transposes the grid
+    so that each line runs along the axis, shifts and scales each line a of
+    degree d to q^d*a((t + s*u)/q), with lo = t/q and w = s/q the axis's low
+    end and width, and weights it by M_d*C(r, k)/C(d, k).  The maps commute,
+    and b[r][s] is the result over L*qx^dx*M_dx*qy^dy*M_dy.  Each pass costs
     O(d^2) per line, O(dx*dy*(dx + dy)) integer operations in all (direct:
     O(dx^2*dy^2)); no Fraction is built.
     """
-    return _power_to_bernstein(p, tuple(map(as_fraction, (xlo, xhi, ylo, yhi))))
+    xlo, xhi, ylo, yhi = map(as_fraction, (xlo, xhi, ylo, yhi))
+    if xhi <= xlo or yhi <= ylo:
+        raise ValueError("rectangle sides must have positive length")
+    nums, denominator = p.lift(1, 1)
+    dx, dy = max(p.x_degree, 0), max(p.y_degree, 0)
+    grid = [[0] * (dy + 1) for _ in range(dx + 1)]
+    for (i, j), a in nums.items():
+        grid[i][j] = a
+    for lo, hi in ((xlo, xhi), (ylo, yhi)):
+        lines = [list(line) for line in zip(*grid)]
+        denominator *= _shift(lines, lo, hi - lo)
+        scale, weights = _weights(len(lines[0]) - 1)
+        # tuple() of a list: a tuple built from an iterator is resized, and piles up on the free list.
+        grid = [tuple([sum(map(mul, row, line)) for row in weights]) for line in lines]
+        denominator *= scale
+    return RangeEnclosure(tuple(grid), denominator)
 
 
 def format_poly(p: Poly2) -> str:

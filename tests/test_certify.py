@@ -571,17 +571,17 @@ class TestBernsteinCertify:
         request = CertRequest(d=d, box=UNIT, eps=Fraction(1), max_depth=6)
         expected = reference_bernstein_certify(request)
         conversions, nodes = [], []
-        convert, enclose = poly._power_to_bernstein, certify.bernstein_on_rect
+        convert, enclose = poly.bernstein_on_rect, certify.bernstein_on_rect
 
-        def counted_convert(p, rect):
+        def counted_convert(p, *rect):
             conversions.append(rect)
-            return convert(p, rect)
+            return convert(p, *rect)
 
         def counted_node(*args, **kwargs):
             nodes.append(args)
             return enclose(*args, **kwargs)
 
-        monkeypatch.setattr(poly, "_power_to_bernstein", counted_convert)
+        monkeypatch.setattr(poly, "bernstein_on_rect", counted_convert)
         monkeypatch.setattr(certify, "bernstein_on_rect", counted_node)
         for runs in (1, 2):
             assert bernstein_certify(request) == expected and expected.kind == "unknown"
