@@ -516,33 +516,24 @@ def sample_falsify(request: CertRequest, grid_k: int) -> Optional[Violated]:
     Points are visited row-major (i ascending outermost, then j).  The scan
     is exact: d.lift(m/K, n/K) gives integers c and L with L*D(m*i/K, n*j/K)
     = sum of c*i^a*j^b, so each grid value is an integer polynomial at the
-    integer point (i, j), compared against eps*L.  The first hit is
-    confirmed by d.eval and returned as a Violated certificate; None after a
-    full sweep without a hit, or if d.eval were ever to disagree.
+    integer point (i, j), compared against eps*L.  Row i holds, for each
+    j^b, the sum of its terms' c*i^a; Horner evaluates the row at each j.
+    The first hit is confirmed by d.eval and returned as a Violated
+    certificate; None after a full sweep, or if d.eval were ever to disagree.
     """
     if grid_k < 2:
         raise ValueError("grid resolution must be at least 2")
     d = request.d
-    if d.is_zero:
-        return None
     m, n, eps = request.box.m, request.box.n, request.eps
     lifted, scale = d.lift(m / grid_k, n / grid_k)
-    columns: dict[int, dict[int, int]] = {}
-    for (a, b), coeff in lifted.items():
-        columns.setdefault(b, {})[a] = coeff
-    max_b = max(columns)
     t_num, t_den = eps.numerator * scale, eps.denominator  # |value| >= eps*L
     span = range(-(grid_k - 1), grid_k)
     for i in span:
-        powers = [1]
-        for _ in range(d.x_degree):
-            powers.append(powers[-1] * i)
-        row = [sum(c * powers[a] for a, c in columns.get(b, {}).items())
-               for b in range(max_b + 1)]
-        while len(row) > 1 and row[-1] == 0:
-            row.pop()
+        row = [0] * (d.y_degree + 1)  # the coefficients in j at x = m*i/K
+        for (a, b), c in lifted.items():
+            row[b] += c * i ** a
         # A row without y dependence has one value: its first point decides it.
-        for j in span if len(row) > 1 else span[:1]:
+        for j in span if any(row[1:]) else span[:1]:
             value = 0
             for coeff in reversed(row):
                 value = value * j + coeff

@@ -77,10 +77,6 @@ class PrincipalSymbol:
         """True for the hyperbolic canonical symbol Dxx - Dyy."""
         return (self.a20, self.a11, self.a02) == (1, 0, -1)
 
-    def char_value(self, z: Scalar) -> Fraction:
-        zv = as_fraction(z)
-        return self.a20 * zv * zv + self.a11 * zv + self.a02
-
 
 CANONICAL_SYMBOL = PrincipalSymbol(Fraction(1), Fraction(0), Fraction(-1))
 
@@ -163,7 +159,7 @@ def _simple_root_k(symbol: PrincipalSymbol, root: CharRoot) -> Fraction:
     """k = 2*a20*omega + a11 for a simple root omega of a symbol with a20 != 0."""
     if symbol.a20 == 0:
         raise ZeroLeadingError("leading symbol coefficient a20 is zero")
-    if symbol.char_value(root.omega) != 0:
+    if (symbol.a20 * root.omega + symbol.a11) * root.omega + symbol.a02 != 0:
         raise ValueError(f"{root.omega} is not a root of the principal symbol")
     k = 2 * symbol.a20 * root.omega + symbol.a11
     if k == 0:

@@ -361,10 +361,9 @@ def _shift(lines: list[list[int]], lo: Fraction, w: Fraction) -> int:
             a[k] *= power
         while top > 0 and not a[top]:
             top -= 1
-        if t:
-            for k in range(top):
-                for i in range(top - 1, k - 1, -1):
-                    a[i] += t * a[i + 1]
+        for k in range(top):
+            for i in range(top - 1, k - 1, -1):
+                a[i] += t * a[i + 1]
         power = 1
         for k in range(1, top + 1):
             power *= s

@@ -11,6 +11,7 @@ from bkfact import (
     Box,
     CertifiedInside,
     CertRequest,
+    DegreeTooHighError,
     Poly2,
     PreconditionViolatedError,
     Unknown,
@@ -790,6 +791,22 @@ class TestSampleFalsify:
         with pytest.raises(ValueError):
             sample_falsify(CertRequest(d=X, box=UNIT, eps=1), 1)
 
+    def test_rows_with_vanishing_y_terms(self):
+        # Differences whose coefficients in y vanish at some x: row i = 0 of
+        # x*y^2 + x^2 is all zero, and the top power of y drops out of the
+        # rows where its x factor vanishes.  Row 0 of y + 1/2 - x^2*y^2 is
+        # linear in y, and at K = 2, eps = 1 only its last point hits.
+        c = Poly2.const
+        cases = [X * Y * Y + X * X, (X * X - c(Fraction(1, 4))) * Y ** 3 + X,
+                 X ** 3 * Y * Y - X * Y + c(Fraction(1, 5)), (X - c(Fraction(1, 3))) * Y ** 4,
+                 Y + c(Fraction(1, 2)) - X * X * Y * Y]
+        for d in cases:
+            for box in (UNIT, Box(Fraction(3, 2), Fraction(2, 3))):
+                for grid_k in (2, 3, 6):
+                    for eps in (Fraction(1, 100), Fraction(1, 3), 1, 10):
+                        assert sample_falsify(CertRequest(d, box, eps), grid_k) == \
+                            reference_grid_witness(d, box, eps, grid_k), (d, box, eps, grid_k)
+
     def test_matches_row_major_scan(self):
         # Degree 0-6 on rational boxes; eps is the magnitude at a random grid
         # point, scaled so that scans hit early or exactly there, and on every
@@ -806,6 +823,25 @@ class TestSampleFalsify:
                 (2, 1000) if long_scan else (Fraction(1, 2), 1))
             assert sample_falsify(CertRequest(d, box, eps), grid_k) == \
                 reference_grid_witness(d, box, eps, grid_k), (d, box, eps, grid_k)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: quad_interval_decision(UnivQuad(1, 0, 0), 0, 1), ValueError),
+    (lambda: quad_interval_decision(UnivQuad(1, 0, 0), -1, 1), ValueError),
+    (lambda: quad_interval_decision(UnivQuad(1, 0, 0), 1, 0), ValueError),
+    (lambda: quad_interval_decision(UnivQuad(1, 0, 0), 1, Fraction(-1, 2)), ValueError),
+    (lambda: triangle_sufficient(X, UNIT, 0), ValueError),
+    (lambda: triangle_sufficient(X, UNIT, -1), ValueError),
+    (lambda: quad_box_extrema(X ** 3, UNIT), DegreeTooHighError),
+    (lambda: quad_box_extrema(X * X * Y, UNIT), DegreeTooHighError),
+    (lambda: CertifiedInside(-1), ValueError),
+    (lambda: CertRequest(X, UNIT, 0), ValueError),
+    (lambda: CertRequest(X, UNIT, -1), ValueError),
+    (lambda: CertRequest(X, UNIT, 1, max_depth=-1), ValueError),
+])
+def test_invalid_arguments_rejected(call, error):
+    with pytest.raises(error):
+        call()
 
 
 class TestSoundness:

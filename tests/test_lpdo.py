@@ -466,3 +466,16 @@ class TestReconstruction:
         assert bk_factors(composed, ROOT_PLUS)[2].is_zero
         assert residual(composed, ROOT_MINUS).r != composed.a00
         assert residual(composed, ROOT_PLUS).r != composed.a00
+
+
+@pytest.mark.parametrize("call", [
+    lambda: canonical_residual(X, Y, 2),
+    lambda: canonical_residual(X, Y, 0),
+    lambda: family_deg1(1, 2, 3, 4, 2),
+    lambda: family_deg1(1, 2, 3, 4, Fraction(1, 2)),
+    lambda: reduced_coeffs(X, Y, 0),
+    lambda: reduced_coeffs(X, Y, 2),
+])
+def test_invalid_arguments_rejected(call):
+    with pytest.raises(ValueError):
+        call()

@@ -522,3 +522,26 @@ class TestBoxTypes:
         assert box.contains_closed(1, 2)
         assert not box.contains_open(1, 0)
         assert box.contains_open(Fraction(99, 100), -1)
+
+
+@pytest.mark.parametrize("call, outcome", [
+    (lambda: Poly2.var("z"), ValueError),
+    (lambda: X.diff("z"), ValueError),
+    (lambda: X + 1, TypeError),
+    (lambda: X - 1, TypeError),
+    (lambda: 1 - X, TypeError),
+    (lambda: X / 0, ZeroDivisionError),
+    (lambda: X ** -1, ValueError),
+    (lambda: X == 1, False),
+    (lambda: X != 1, True),
+    (lambda: repr(X), "Poly2(x)"),
+    (lambda: repr(Poly2.zero()), "Poly2(0)"),
+])
+def test_edge_operations(call, outcome):
+    # Invalid arguments raise; X == 1 compares a Poly2 with a scalar (never
+    # equal), and repr shows the canonical text.
+    if isinstance(outcome, type):
+        with pytest.raises(outcome):
+            call()
+    else:
+        assert call() == outcome
