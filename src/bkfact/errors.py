@@ -53,4 +53,6 @@ class ParseError(BkfactError):
 
 
 class ExponentError(ParseError):
-    """An exponent was negative or not an integer."""
+    """An exponent was negative or not an integer, or a power exceeds a
+    parser cap: total degree or exponent over MAX_DEGREE, or coefficients
+    of more than MAX_POWER_BITS bits."""

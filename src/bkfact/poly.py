@@ -223,7 +223,8 @@ class Poly2:
         p's coefficients over the lcm of their denominators, m = a/b and n = c/e,
         each numerator is scaled by a^i*b^(dx - i)*c^j*e^(dy - j) and L by
         b^dx*e^dy, so L need not be the least common denominator.  This is the
-        one place that clears denominators; the Bernstein conversion reads (1, 1).
+        one place that clears denominators, a rectangle's too: the Bernstein
+        conversion reads (1/qx, 1/qy), qx and qy clearing the rectangle's ends.
         """
         (a, b), (c, e) = as_fraction(m).as_integer_ratio(), as_fraction(n).as_integer_ratio()
         scale = lcm(*[coeff.denominator for coeff in self._terms.values()])
@@ -274,9 +275,6 @@ class Box:
     def contains_open(self, x: Scalar, y: Scalar) -> bool:
         return abs(as_fraction(x)) < self.m and abs(as_fraction(y)) < self.n
 
-    def contains_closed(self, x: Scalar, y: Scalar) -> bool:
-        return abs(as_fraction(x)) <= self.m and abs(as_fraction(y)) <= self.n
-
 
 @dataclass(frozen=True)
 class RangeEnclosure:
@@ -287,8 +285,8 @@ class RangeEnclosure:
 
     == compares this representation, not the values it stands for: a grid
     halved from its parent's and the direct conversion of the same rectangle
-    hold equal b[r][s] over different denominators, so compare coefficients,
-    lo or hi for equal values."""
+    hold equal b[r][s] over different denominators, so compare lo and hi, or
+    numerators cross-multiplied by the other's denominator, for equal values."""
 
     numerators: tuple[tuple[int, ...], ...]
     denominator: int
@@ -300,11 +298,6 @@ class RangeEnclosure:
     @property
     def hi(self) -> Fraction:
         return Fraction(max(map(max, self.numerators)), self.denominator)
-
-    @property
-    def coefficients(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The b[r][s] as Fractions."""
-        return tuple(tuple(Fraction(b, self.denominator) for b in row) for row in self.numerators)
 
     def halves(self, axis: str) -> tuple["RangeEnclosure", "RangeEnclosure"]:
         """The enclosures on the lower and upper half of the rectangle along
@@ -341,24 +334,15 @@ def _weights(d: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
                         for r in range(d + 1))
 
 
-def _shift(lines: list[list[int]], lo: Fraction, w: Fraction) -> int:
+def _shift(lines: list[list[int]], t: int, s: int) -> None:
     """Rewrite in place the integer coefficients a[k] of each polynomial a in
-    z of degree at most d = len(a) - 1 as those of q^d*a((t + s*u)/q) in u,
-    where lo = t/q and w = s/q; return q^d.
+    z as those of a(t + s*u) in u, for integers t and s.
 
-    Scaling a[k] by q^(d - k) gives q^d*a(z/q).  Its Taylor shift by t is
-    repeated Horner (synthetic) division by z - t, O(e^2) for the highest
-    nonzero index e; scaling a[k] by s^k follows.
+    The Taylor shift by t is repeated Horner (synthetic) division by z - t,
+    O(e^2) for the highest nonzero index e; scaling a[k] by s^k follows.
     """
-    q = lcm(lo.denominator, w.denominator)
-    t = lo.numerator * (q // lo.denominator)
-    s = w.numerator * (q // w.denominator)
     for a in lines:
         top = len(a) - 1
-        power = 1
-        for k in range(top - 1, -1, -1):
-            power *= q
-            a[k] *= power
         while top > 0 and not a[top]:
             top -= 1
         for k in range(top):
@@ -368,7 +352,6 @@ def _shift(lines: list[list[int]], lo: Fraction, w: Fraction) -> int:
         for k in range(1, top + 1):
             power *= s
             a[k] *= power
-    return q ** (len(lines[0]) - 1)
 
 
 def bernstein_on_rect(p: Poly2, xlo: Scalar, xhi: Scalar, ylo: Scalar, yhi: Scalar
@@ -388,27 +371,31 @@ def bernstein_on_rect(p: Poly2, xlo: Scalar, xhi: Scalar, ylo: Scalar, yhi: Scal
     halves of a rectangle without another conversion.
 
     The grid is converted from p's power form.  The transform is separable
-    (Titi & Garloff 2019) and runs in integers (Garloff 1986).  p.lift(1, 1),
-    p's numerators over their lcm L, fills a dense (dx+1) x (dy+1) grid
-    indexed [i][j].  One pass runs per axis, x first: it transposes the grid
-    so that each line runs along the axis, shifts and scales each line a of
-    degree d to q^d*a((t + s*u)/q), with lo = t/q and w = s/q the axis's low
-    end and width, and weights it by M_d*C(r, k)/C(d, k).  The maps commute,
-    and b[r][s] is the result over L*qx^dx*M_dx*qy^dy*M_dy.  Each pass costs
-    O(d^2) per line, O(dx*dy*(dx + dy)) integer operations in all (direct:
-    O(dx^2*dy^2)); no Fraction is built.
+    (Titi & Garloff 2019) and runs in integers (Garloff 1986).  With qx the
+    lcm of the denominators of xlo and xhi (qy likewise), p.lift(1/qx, 1/qy)
+    gives L*p in X = qx*x and Y = qy*y as integer coefficients, with
+    qx^dx*qy^dy inside L; they fill a dense (dx+1) x (dy+1) grid indexed
+    [i][j].  In X and Y each side runs from the integer t = q*lo to t + s,
+    s = q*(hi - lo).  One pass runs per axis, x first: it transposes the grid
+    so that each line runs along the axis, rewrites each line a of degree d
+    as a(t + s*u) and weights it by M_d*C(r, k)/C(d, k).  The maps commute,
+    and b[r][s] is the result over L*M_dx*M_dy.  Each pass costs O(d^2) per
+    line, O(dx*dy*(dx + dy)) integer operations in all (direct:
+    O(dx^2*dy^2)); no Fraction is built but 1/qx and 1/qy.
     """
     xlo, xhi, ylo, yhi = map(as_fraction, (xlo, xhi, ylo, yhi))
     if xhi <= xlo or yhi <= ylo:
         raise ValueError("rectangle sides must have positive length")
-    nums, denominator = p.lift(1, 1)
+    qx, qy = lcm(xlo.denominator, xhi.denominator), lcm(ylo.denominator, yhi.denominator)
+    nums, denominator = p.lift(Fraction(1, qx), Fraction(1, qy))
     dx, dy = max(p.x_degree, 0), max(p.y_degree, 0)
     grid = [[0] * (dy + 1) for _ in range(dx + 1)]
     for (i, j), a in nums.items():
         grid[i][j] = a
-    for lo, hi in ((xlo, xhi), (ylo, yhi)):
+    for lo, hi, q in ((xlo, xhi, qx), (ylo, yhi, qy)):
         lines = [list(line) for line in zip(*grid)]
-        denominator *= _shift(lines, lo, hi - lo)
+        t = lo.numerator * (q // lo.denominator)
+        _shift(lines, t, hi.numerator * (q // hi.denominator) - t)
         scale, weights = _weights(len(lines[0]) - 1)
         # tuple() of a list: a tuple built from an iterator is resized, and piles up on the free list.
         grid = [tuple([sum(map(mul, row, line)) for row in weights]) for line in lines]

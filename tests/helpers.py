@@ -278,7 +278,7 @@ def reference_quad_extrema(d: Poly2, box: Box) -> tuple[Extrema, bool, bool]:
         candidates += reference_critical_candidates(d, box)
     else:
         x0, y0 = (a11 * cy - 2 * b2 * cx) / det, (a11 * cx - 2 * a2 * cy) / det
-        if box.contains_closed(x0, y0):
+        if abs(x0) <= box.m and abs(y0) <= box.n:
             candidates.append(((x0, y0), d.eval(x0, y0), box.contains_open(x0, y0)))
     by_point: dict = {}
     for point, value, interior in candidates:

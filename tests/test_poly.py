@@ -318,13 +318,10 @@ def assert_matches_reference(p: Poly2, rect: tuple[Fraction, ...],
     assert all(type(b) is int for row in numerators for b in row), (p, rect)
     assert [list(row) for row in numerators] == [[b * denominator for b in row]
                                                  for row in expected], (p, rect)
-    got = enclosure.coefficients
-    assert [list(row) for row in got] == expected, (p, rect)
-    assert all(type(b) is Fraction for row in got for b in row), (p, rect)
     assert type(enclosure.lo) is Fraction and type(enclosure.hi) is Fraction
     assert (enclosure.lo, enclosure.hi) == (min(map(min, expected)), max(map(max, expected)))
-    assert len(got) == max(p.x_degree, 0) + 1
-    assert all(len(row) == max(p.y_degree, 0) + 1 for row in got)
+    assert len(numerators) == max(p.x_degree, 0) + 1
+    assert all(len(row) == max(p.y_degree, 0) + 1 for row in numerators)
     return enclosure
 
 
@@ -466,10 +463,7 @@ class TestHalves:
                 pair = enclosure.halves(axis)
                 assert len(pair) == 2
                 for side, half in enumerate(pair):
-                    half_rect = _half(rect, axis, side)
-                    expected = reference_bernstein_coefficients(p, *half_rect)
-                    assert [list(row) for row in half.coefficients] == expected, (p, half_rect)
-                    assert all(type(b) is int for row in half.numerators for b in row)
+                    assert_matches_reference(p, _half(rect, axis, side), half)
 
     def test_value_semantics(self):
         # An enclosure is its numerators and denominator: equal enclosures
@@ -486,7 +480,7 @@ class TestHalves:
                                    "denominator": fresh.denominator}
         doubled = RangeEnclosure(tuple(tuple(2 * b for b in row) for row in enclosure.numerators),
                                  2 * enclosure.denominator)
-        assert doubled.coefficients == enclosure.coefficients and doubled != enclosure
+        assert (doubled.lo, doubled.hi) == (enclosure.lo, enclosure.hi) and doubled != enclosure
         other = RangeEnclosure(enclosure.numerators, enclosure.denominator + 1)
         assert other != enclosure and hash(other) != hash(enclosure)
         assert RangeEnclosure(doubled.numerators, enclosure.denominator) != enclosure
@@ -519,8 +513,8 @@ class TestBoxTypes:
 
     def test_open_vs_closed_membership(self):
         box = Box(1, 2)
-        assert box.contains_closed(1, 2)
         assert not box.contains_open(1, 0)
+        assert not box.contains_open(0, -2)
         assert box.contains_open(Fraction(99, 100), -1)
 
 
