@@ -160,6 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in ("--c3", "--c2", "--c1", "--d1"):
         family.add_argument(flag, default="0")
     family.add_argument("--root", default="-1", help="1 or -1 (default -1)")
+    for subparser in sub.choices.values():
+        # Batch mode parses each line with the subcommand's own parser.
+        subparser.set_defaults(parser=subparser)
 
     return parser
 
@@ -277,34 +280,11 @@ def _names_flag(token: str, flag: str) -> bool:
     return len(name) > 2 and flag.startswith(name)
 
 
-# The POSIX shell-word subset batch files use: bare characters, '...', and
-# "..." without backslashes, adjacent parts forming one word, separated by
-# shlex's whitespace " \t\r\n".  Each unit of a word starts with a
-# different character, so a failed match backtracks in linear time.
-_WORD = r"""(?:[^ \t\r\n'"\\]|'[^']*'|"[^"\\]*")+"""
-_WORDS = re.compile(_WORD)
-_LINE = re.compile(rf"[ \t\r\n]*(?:{_WORD}(?:[ \t\r\n]+|\Z))*")
-_QUOTED = re.compile(r"""'([^']*)'|"([^"]*)"|([^'"]+)""")
-
-
-def _split(line: str) -> list[str]:
-    """shlex.split(line), by regex when the line is in the subset above.
-
-    Any other line (a backslash, an unbalanced quote) goes to shlex.split,
-    which also raises its own ValueError on it.
-    """
-    if _LINE.fullmatch(line) is None:
-        return shlex.split(line)
-    return ["".join(["".join(part) for part in _QUOTED.findall(word)])
-            if "'" in word or '"' in word else word
-            for word in _WORDS.findall(line)]
-
-
-def _run_batch(parser, argv: Sequence[str], path: str, out) -> int:
-    # Run the subcommand once per line, parsing the base invocation with the
-    # line's flags appended, so the line's flags win.
+def _run_batch(invocation: argparse.Namespace, out) -> int:
+    # Run the subcommand once per line, parsing the line's flags onto a copy
+    # of the invocation's namespace, so the line's flags win for that line.
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(invocation.input, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read batch file: {exc}") from exc
@@ -314,14 +294,14 @@ def _run_batch(parser, argv: Sequence[str], path: str, out) -> int:
         if not line or line.startswith("#"):
             continue
         try:
-            words = _split(line)
+            words = shlex.split(line)
             # --help would print the usage and exit in the middle of the run,
             # and a line's --input would be ignored.
             for word in words:
                 for flag in ("--help", "--input"):
                     if _names_flag(word, flag):
                         raise ValueError(f"{flag} is not allowed in a batch file")
-            args = parser.parse_args([*argv, *words])
+            args = invocation.parser.parse_args(words, argparse.Namespace(**vars(invocation)))
             statuses.append(args.handler(args, out))
         except UsageError as exc:
             raise UsageError(f"batch line {lineno}: {exc}") from exc
@@ -353,7 +333,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(list(argv))
         if getattr(args, "input", None) is not None:
-            status = _run_batch(parser, argv, args.input, out)
+            status = _run_batch(args, out)
         else:
             status = args.handler(args, out)
         out.flush()  # so that a failure to write the tail is caught here too

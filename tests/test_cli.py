@@ -1,10 +1,13 @@
 """CLI behavior: golden outputs, JSON schema and determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -12,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from jsonschema import validate
 
 import bkfact
-from bkfact.cli import MAX_DEPTH, MAX_GRID, _split, main
+from bkfact.cli import MAX_DEPTH, MAX_GRID, main
 from bkfact.parsing import MAX_DEGREE, MAX_NESTING
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -541,27 +544,81 @@ class TestBatch:
         assert proc.returncode == status
 
 
-SPLIT_LINES = [
-    "", "   ", "--a00 1", "--a00 '1/2*x + y'", '--a00 "x - y"', "''", '""', "'' \"\"",
-    "--a00='x'\"+1\"", "a'b'c\"d\"e", "'it\"s' \"it's\"", "\t--a00\t'x\t+ y'\t",
-    "--root \"#\" # not a comment", "--a00=x=y", "a\\ b", "'a\\b'", '"a\\"b"', "a\\",
-    "'unbalanced", '"unbalanced', "a'b", "x\xa0y \x0b", "a\r\nb",
-]
+# Batch lines against single calls.  A line mixes --flag v, --flag=v and
+# abbreviated spellings, repeats flags, and quotes its words in several ways.
+# About one word pair in five is bad: an unknown or ambiguous flag, a bad or
+# missing value, or a stray "--".
+_GOOD_VALUES = {"--eps": ["1/2", "2"], "--ep": ["1/3"], "--a00": ["x", "2", "1/8*x + 1/16*y"],
+                "--a10": ["x^2 - y", "1/2*y"], "--root": ["1", "-1"], "--form": ["json", "text"],
+                "--dep": ["0", "2"]}
+_PAIRS = 3 * [(flag, value) for flag, values in _GOOD_VALUES.items() for value in values] + [
+    ("--a0", "1"), ("--bogus", "1"), ("--eps", "0"), ("--eps", "1.5"), ("--a00", "2x"),
+    ("--root", "2"), ("--format", "yaml"), ("--a10", ""), ("--eps", None), ("--", None)]
+_INVOCATIONS = [[], ["--format", "json"], ["--a10", "1/2*y", "--root", "-1"],
+                ["--decimal-as-rational", "--a00", "1/4*x"]]
+# Flags of the invocation that only some subcommands take.
+_OWN_FLAGS = {"certify": ["--eps", "1/2", "--dep", "1"], "sufficient": ["--eps", "1/2"]}
 
 
-@pytest.mark.parametrize("line", SPLIT_LINES)
-def test_split_matches_shlex(line):
-    assert _outcome(_split, line) == _outcome(shlex.split, line)
+def _quote(word, style):
+    # No vocabulary word holds a quote or a backslash.
+    if style == "single":
+        return f"'{word}'"
+    if style == "double":
+        return f'"{word}"'
+    if style == "adjacent" and len(word) > 1:
+        return f"'{word[0]}'\"{word[1:]}\""
+    return shlex.quote(word)
 
 
-@given(st.text(alphabet="ab #=-\t\r\n'\"\\\xa0\x0b", max_size=16))
-@settings(max_examples=500, deadline=None, derandomize=True)
-def test_split_matches_shlex_property(line):
-    assert _outcome(_split, line) == _outcome(shlex.split, line)
+def _line(pairs):
+    words = []
+    for (flag, value), joined, style in pairs:
+        if value is None:
+            words.append(flag)
+        elif joined:
+            words.append(f"{flag}={_quote(value, style)}")
+        else:
+            words += [flag, _quote(value, style)]
+    return " \t"[len(words) % 2].join(words)  # some lines separate their words by tabs
 
 
-def _outcome(split, line):
-    try:
-        return split(line)
-    except ValueError as exc:
-        return str(exc)
+_LINES = st.lists(st.tuples(st.sampled_from(_PAIRS), st.booleans(),
+                            st.sampled_from(["bare", "single", "double", "adjacent"])),
+                  min_size=1, max_size=3).map(_line)
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    if status in (64, 65):
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("bkfact: ")
+    else:
+        assert status in (0, 1, 2) and err.getvalue() == ""
+    assert "Traceback" not in err.getvalue()
+    return status, out.getvalue(), err.getvalue()
+
+
+@given(st.sampled_from(["certify", "exact", "residual", "sufficient"]),
+       st.sampled_from(_INVOCATIONS), st.booleans(), st.lists(_LINES, min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_batch_equals_single_calls(command, invocation, own_flags, lines):
+    # Equal to the single calls, so a line's flags never reach the next line.
+    base = [command, *invocation, *(_OWN_FLAGS.get(command, []) if own_flags else [])]
+    with tempfile.TemporaryDirectory() as tmp:
+        batch = Path(tmp) / "batch.txt"
+        batch.write_text("# one line per call\n" + "\n".join(lines) + "\n")
+        status, out, err = _call([*base, "--input", str(batch)])
+    expected, statuses = "", []
+    for lineno, line in enumerate(lines, start=2):
+        single, single_out, single_err = _call([*base, *shlex.split(line)])
+        expected += single_out
+        if single in (64, 65):
+            kind, _, message = single_err.partition(" error: ")
+            assert (status, err) == (single, f"{kind} error: batch line {lineno}: {message}")
+            break
+        statuses.append(single)
+    else:
+        assert (status, err) == (_worst(statuses), "")
+    assert out == expected

@@ -151,6 +151,12 @@ MUTANTS = (
     Mutant("cli-worst-order-swapped", "cli.py",
            "for status in (EX_VIOLATED, EX_UNKNOWN):", "for status in (EX_UNKNOWN, EX_VIOLATED):",
            ("tests/test_cli.py",)),
+    Mutant("cli-batch-namespace-shared", "cli.py",
+           "parse_args(words, argparse.Namespace(**vars(invocation)))",
+           "parse_args(words, invocation)", ("tests/test_cli.py",)),
+    Mutant("cli-batch-namespace-empty", "cli.py",
+           "parse_args(words, argparse.Namespace(**vars(invocation)))",
+           "parse_args(words, argparse.Namespace())", ("tests/test_cli.py",)),
 )
 
 
