@@ -14,8 +14,9 @@ Three layers are provided:
 * closed-form quantifier-free criteria for the instance |a*x^2 + b*x + c| < 4
   on (-1, 1), in the four printed variants (two for a < 0, one for a = 0
   with b != 0, one combined for a <= 0);
-* exact decisions: the univariate quadratic on (-m, m) at any eps, and the
-  bivariate quadratic on a box via exact extrema with attainment tracking;
+* exact decisions for total degree <= 2 on a box, via exact extrema with
+  attainment tracking (certify_open_box); the univariate quadratic on
+  (-m, m) at any eps is its y-free case;
 * certified numerics for higher degree: Bernstein enclosures with recursive
   subdivision, plus a deterministic grid falsifier.
 
@@ -58,10 +59,6 @@ class UnivQuad:
         object.__setattr__(self, "a", as_fraction(self.a))
         object.__setattr__(self, "b", as_fraction(self.b))
         object.__setattr__(self, "c", as_fraction(self.c))
-
-    def eval(self, x: Scalar) -> Fraction:
-        xv = as_fraction(x)
-        return (self.a * xv + self.b) * xv + self.c
 
 
 def _endpoint_conjuncts(q: UnivQuad) -> bool:
@@ -126,32 +123,12 @@ def qf_nonpos_combined(q: UnivQuad) -> bool:
 def quad_interval_decision(q: UnivQuad, m: Scalar, eps: Scalar) -> bool:
     """Exact truth of: for all x in (-m, m), |q(x)| < eps.
 
-    Decided from the extrema of q on the closed interval [-m, m] (endpoints
-    plus the vertex -b/(2a) when it lies inside).  An extremum of magnitude
-    exactly eps is acceptable only when it is attained at the endpoints
-    alone, since those are excluded from the open interval.  A constant q
-    must satisfy |c| < eps strictly.
+    This is the y-free case of certify_open_box, on the box (-m, m) x (-1, 1):
+    an extremum of magnitude exactly eps is acceptable only when it is
+    attained at the excluded endpoints alone.
     """
-    mv = as_fraction(m)
-    ev = as_fraction(eps)
-    if mv <= 0 or ev <= 0:
-        raise ValueError("half-width and tolerance must be positive")
-    if q.a == 0 and q.b == 0:
-        return abs(q.c) < ev
-    values = [q.eval(-mv), q.eval(mv)]
-    vertex_value: Optional[Fraction] = None
-    if q.a != 0:
-        xv = -q.b / (2 * q.a)
-        if -mv < xv < mv:
-            vertex_value = q.eval(xv)
-            values.append(vertex_value)
-    hi = max(values)
-    lo = min(values)
-    hi_interior = vertex_value is not None and vertex_value == hi
-    lo_interior = vertex_value is not None and vertex_value == lo
-    hi_ok = hi < ev or (hi == ev and not hi_interior)
-    lo_ok = lo > -ev or (lo == -ev and not lo_interior)
-    return hi_ok and lo_ok
+    d = Poly2({(2, 0): q.a, (1, 0): q.b, (0, 0): q.c})
+    return certify_open_box(CertRequest(d, Box(m, 1), eps)).kind == "inside"
 
 
 def quad_from_reduced(b1: Scalar, b3: Scalar, s1: Scalar, s3: Scalar) -> UnivQuad:

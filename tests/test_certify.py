@@ -1,6 +1,7 @@
 """Decision procedures: quantifier-free criteria, exact extrema, certificates,
 Bernstein subdivision, and the grid falsifier."""
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -149,16 +150,22 @@ class TestQuadIntervalDecision:
         assert not quad_interval_decision(UnivQuad(1, 0, 0), Fraction(1, 2), Fraction(1, 5))
 
     def test_against_certify_embedding(self):
-        # The univariate decision agrees with the 2-D certifier on y-free
-        # polynomials over the matching box (independent code paths).
+        # The univariate decision agrees with the restriction-route oracle
+        # (independent of the integer lift) on y-free polynomials over a box
+        # of another height, on seeded draws and a grid of boundary cases.
         rng = random.Random(17)
-        for _ in range(300):
-            q = UnivQuad(rand_frac(rng, 4, 3), rand_frac(rng, 4, 3), rand_frac(rng, 4, 3))
-            m = abs(rand_frac(rng, 3, 2)) + Fraction(1, 3)
-            eps = abs(rand_frac(rng, 3, 2)) + Fraction(1, 4)
-            embedded = Poly2({(2, 0): q.a, (1, 0): q.b, (0, 0): q.c})
-            cert = certify_open_box(CertRequest(d=embedded, box=Box(m, 2), eps=eps))
-            assert quad_interval_decision(q, m, eps) == isinstance(cert, CertifiedInside)
+        draws = [(rand_frac(rng, 4, 3), rand_frac(rng, 4, 3), rand_frac(rng, 4, 3),
+                  abs(rand_frac(rng, 3, 2)) + Fraction(1, 3),
+                  abs(rand_frac(rng, 3, 2)) + Fraction(1, 4)) for _ in range(300)]
+        half = Fraction(1, 2)
+        grid = itertools.product((-1, 0, 1, -half, 2), (-2, -1, 0, 1, 2, Fraction(3, 2)),
+                                 (4, -4, 3, -3, 0, Fraction(15, 4), Fraction(23, 8)),
+                                 (1, Fraction(3, 2), half), (4, 1, Fraction(1, 4)))
+        for a, b, c, m, eps in itertools.chain(draws, grid):
+            d, box = Poly2({(2, 0): a, (1, 0): b, (0, 0): c}), Box(m, 2)
+            reference = reference_certificate(d, box, eps, *reference_quad_extrema(d, box))
+            assert quad_interval_decision(UnivQuad(a, b, c), m, eps) == (
+                reference.kind == "inside"), (a, b, c, m, eps)
 
 
 class TestReducedSubstitution:

@@ -11,7 +11,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from jsonschema import validate
 
 import bkfact
@@ -622,3 +622,35 @@ def test_batch_equals_single_calls(command, invocation, own_flags, lines):
     else:
         assert (status, err) == (_worst(statuses), "")
     assert out == expected
+
+
+# Expressions near the parser's caps: 40-digit literals, 60-digit
+# denominators, a Unicode digit, a decimal, runs of unary minus, nesting at
+# and past MAX_NESTING, exponents around MAX_DEGREE, and towers of powers.
+_HUGE = "1" + "0" * 2999
+_ATOMS = ["x", "y", "2", "1/3", "\u0663", "0.5", "7" * 40, "5/" + "9" * 60, "x/" + "3" * 60,
+          "2^32^32", "2^32^32^32", f"{_HUGE} * {_HUGE}"]
+_EXPRESSIONS = st.recursive(st.sampled_from(_ATOMS), lambda inner: st.one_of(
+    st.tuples(st.integers(1, 8), inner).map(lambda t: "-" * t[0] + t[1]),
+    st.tuples(inner, st.sampled_from([0, 1, 2, 3, 5, 8, 16, 31, 32, 33])).map(
+        lambda t: f"({t[0]})^{t[1]}"),
+    st.tuples(inner, st.sampled_from("+-*"), inner).map(" ".join),
+    st.tuples(st.sampled_from([MAX_NESTING, MAX_NESTING + 1]), inner).map(
+        lambda t: "(" * t[0] + t[1] + ")" * t[0])), max_leaves=4)
+
+
+@given(_EXPRESSIONS, st.booleans(), st.booleans())
+@example("2^32^32", False, False)
+@example("2^32^32^32", False, True)
+@example(f"{_HUGE} * {_HUGE}", True, False)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_expressions_near_the_caps(expression, decimals, grid):
+    # "=E" keeps an expression that starts with "-" from being read as a flag.
+    flags = ["--decimal-as-rational"] if decimals else []
+    grid_flags = ["--grid", "4"] if grid else []
+    for argv in (["residual", f"--a10={expression}"],
+                 ["certify", f"--a00={expression}", "--depth", "3", *grid_flags],
+                 ["sufficient", f"--a00={expression}"],
+                 ["exact", f"--a10={expression}"]):
+        status, out, _ = _call([*argv, *flags])  # checks the status and stderr
+        assert status not in (64, 65) or out == ""

@@ -120,8 +120,8 @@ MUTANTS = (
            "elif top * worst_leaf[1] > worst_leaf[0] * scale:", "elif not worst_leaf[0]:",
            (CERTIFY,)),
     # The exact low-degree decisions.
-    Mutant("certify-interval-interior-rule-dropped", "certify.py",
-           "hi_ok = hi < ev or (hi == ev and not hi_interior)", "hi_ok = hi <= ev", (CERTIFY,)),
+    Mutant("certify-open-attainer-negated", "certify.py",
+           "if box.contains_open(*point):", "if not box.contains_open(*point):", (CERTIFY,)),
     Mutant("certify-extreme-not-strict", "certify.py",
            "if extreme < eps:", "if extreme <= eps:", (CERTIFY,)),
     Mutant("certify-inward-sign-dropped", "certify.py",
