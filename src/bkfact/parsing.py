@@ -14,8 +14,7 @@ There is no implicit multiplication and no division operator: a slash is
 only valid inside a rational literal such as "1/2".  Exponents must be
 nonnegative integers; "x^-1" or "x^1/2" raise ExponentError.  Whitespace is
 ignored between tokens.  On polynomials of total degree at most MAX_DEGREE,
-parse_poly is the exact inverse of bkfact.poly.format_poly.  It builds
-values with Poly2's public operations only.
+parse_poly is the exact inverse of bkfact.poly.format_poly.
 
 Numbers are runs of decimal digits (str.isdecimal, so "\u0663" is 3 but
 "\u00b2" is an unexpected character).  A number longer than the
@@ -44,6 +43,17 @@ like terms is cheap to compute, so it is checked after: a coefficient over
 MAX_POWER_BITS raises ParseError at its "+" or "-".  So every coefficient
 an operator creates prints under the 4300-digit limit.
 
+A product of numbers, x, y and their powers stays one monomial (coeff, i,
+j) while it is parsed: integer literals stay int, a "*" multiplies two
+coefficients and adds exponents, and a "^" raises the coefficient and
+scales the exponents.  Poly2 arithmetic runs only where a factor is a
+parenthesized sum or the zero literal, a Poly2 of degree -1.  A sum adds
+its terms' coefficients in one dict, and each sum or monomial becomes one
+Poly2, built with Poly2's public operations only.  The caps above are
+checked on the monomials as on the Poly2s they stand for, with the same
+functions.  Tokens are kept as their text; a token's position is found
+again only for an error message.
+
 Decimal literals are rejected by default; passing decimals=True lexes
 finite decimals like "0.25" and converts them exactly (this backs the CLI's
 --decimal-as-rational flag).
@@ -71,39 +81,46 @@ _NUMBER = "number"
 _VAR = "variable"
 _END = "end of input"
 
-# One alternative per token class, tried in order; whitespace matches none and
-# is skipped by finditer.  \d and \s are str.isdecimal and str.isspace.
-_TOKEN = re.compile(r"(\d+)|([xy])|([-+*/^()])|(\S)")
-_DECIMAL_TOKEN = re.compile(r"(\d+(?:\.\d*)?|\.\d+)|([xy])|([-+*/^()])|(\S)")
-_KINDS = (None, _NUMBER, _VAR, None)
-_Token = tuple[str, str, int]  # (kind, text, position)
-_VARIABLES = {name: Poly2.var(name) for name in "xy"}  # immutable, so shared
+# A token is its text, and the end of input is "".  One alternative per token
+# class, tried in order; whitespace matches none and is skipped.  \d and \s are
+# str.isdecimal and str.isspace.
+_TOKEN = re.compile(r"\d+|[xy]|[-+*/^()]|\S")
+_DECIMAL_TOKEN = re.compile(r"\d+(?:\.\d*)?|\.\d+|[xy]|[-+*/^()]|\S")
+# A character no token may start with; "." is one unless a decimal number holds it.
+_UNEXPECTED = re.compile(r"[^\d\sxy+\-*/^().]")
+_OPERATORS = frozenset("+-*/^()")
 
 
-def _tokenize(text: str, decimals: bool) -> list[_Token]:
-    """(kind, text, position) per token, then an end-of-input token.
+def _kind(token: str) -> str | None:
+    """"number", "variable", "end of input" or the operator itself; None for
+    an unexpected character.  Only a number is longer than one character."""
+    if token in _OPERATORS:
+        return token
+    if token in ("x", "y"):
+        return _VAR
+    if not token:
+        return _END
+    return _NUMBER if len(token) > 1 or token.isdecimal() else None
 
-    kind is "number", "variable" or the operator character itself.  With
-    decimals, a number may hold one "." ("0.25", "1.", ".5").
-    """
-    tokens = []
-    for match in (_DECIMAL_TOKEN if decimals else _TOKEN).finditer(text):
-        group, token = match.lastindex, match.group()
-        if group == 4:
-            raise ParseError(f"unexpected character {token!r}", match.start(),
-                             ("number", "x", "y", "operator", "parenthesis"))
-        tokens.append((_KINDS[group] or token, token, match.start()))
-    tokens.append((_END, "", len(text)))
+
+def _positions(text: str, decimals: bool) -> list[int]:
+    """Where each token of _tokenize(text, decimals) starts."""
+    pattern = _DECIMAL_TOKEN if decimals else _TOKEN
+    return [match.start() for match in pattern.finditer(text)] + [len(text)]
+
+
+def _tokenize(text: str, decimals: bool) -> list[str]:
+    """The text of each token, then "" for the end of input.  With decimals,
+    a number may hold one "." ("0.25", "1.", ".5").  Positions are found
+    again only for an error message."""
+    tokens = (_DECIMAL_TOKEN if decimals else _TOKEN).findall(text)
+    if _UNEXPECTED.search(text) or "." in tokens:
+        index = next(index for index, token in enumerate(tokens) if _kind(token) is None)
+        raise ParseError(f"unexpected character {tokens[index]!r}",
+                         _positions(text, decimals)[index],
+                         ("number", "x", "y", "operator", "parenthesis"))
+    tokens.append("")
     return tokens
-
-
-def _number(token: _Token) -> int | Fraction:
-    _, text, position = token
-    try:
-        # Fraction parses decimal strings exactly ("0.25" -> 1/4).
-        return Fraction(text) if "." in text else int(text)
-    except ValueError:  # more digits than the int-conversion limit allows
-        raise ParseError(f"number of {len(text)} digits is too long", position) from None
 
 
 def _coefficient_bits(p: Poly2) -> tuple[int, int, int]:
@@ -153,42 +170,85 @@ def _power_bits(base: Poly2, exponent: int) -> int:
     return exponent * max(sum_bits, den_bits)
 
 
-def _is_unit_monomial(p: Poly2) -> bool:
-    # +-x^i*y^j: a product with it only moves and negates coefficients, and
-    # its powers are +-x^(e*i)*y^(e*j).
-    terms = p.terms()
-    return len(terms) == 1 and terms[0][1] in (1, -1)
+# While a product of numbers, x, y and their powers is parsed, it is one
+# monomial (coeff, i, j) with a nonzero int or Fraction coeff; every other
+# value, the zero literal among them, is a Poly2.
+_Value = tuple[int | Fraction, int, int] | Poly2
+_VARIABLES = {"x": (1, 1, 0), "y": (1, 0, 1)}
+
+
+def _poly(value: _Value) -> Poly2:
+    if isinstance(value, tuple):
+        coeff, i, j = value
+        return Poly2({(i, j): coeff})
+    return value
+
+
+def _terms(value: _Value) -> list[tuple[tuple[int, int], int | Fraction]]:
+    if isinstance(value, tuple):
+        coeff, i, j = value
+        return [((i, j), coeff)]
+    return value.terms()
+
+
+def _degree(value: _Value) -> int:
+    return value[1] + value[2] if isinstance(value, tuple) else value.degree
+
+
+def _sized(value: _Value) -> bool:
+    """Whether a product or power with value can grow coefficients: value
+    is neither zero nor +-x^i*y^j, for a product with +-x^i*y^j only moves
+    and negates coefficients, and its powers are +-x^(e*i)*y^(e*j)."""
+    terms = _terms(value)
+    return len(terms) > 1 or (len(terms) == 1 and terms[0][1] not in (1, -1))
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str, decimals: bool):
+        self.text = text
+        self.decimals = decimals
+        self.tokens = _tokenize(text, decimals)
         self.index = 0
         self.depth = 0  # parentheses open at the current token
 
-    def peek(self) -> _Token:
+    def peek(self) -> str:
         return self.tokens[self.index]
 
-    def advance(self) -> _Token:
+    def advance(self) -> str:
         token = self.tokens[self.index]
         self.index += 1
         return token
 
-    def expect(self, kind: str, expected: tuple[str, ...]) -> _Token:
-        token = self.peek()
-        if token[0] != kind:
-            raise _unexpected(token, expected)
-        return self.advance()
+    def position(self, index: int) -> int:
+        return _positions(self.text, self.decimals)[index]
 
-    def parse_expr(self) -> Poly2:
+    def expect(self, kind: str, expected: tuple[str, ...]) -> None:
+        if _kind(self.peek()) != kind:
+            raise self.unexpected(self.index, expected)
+        self.index += 1
+
+    def unexpected(self, index: int, expected: tuple[str, ...]) -> ParseError:
+        token = self.tokens[index]
+        return ParseError(f"unexpected {_kind(token)} {token!r}", self.position(index), expected)
+
+    def number(self, index: int) -> int | Fraction:
+        text = self.tokens[index]
+        try:
+            # Fraction parses decimal strings exactly ("0.25" -> 1/4).
+            return Fraction(text) if "." in text else int(text)
+        except ValueError:  # more digits than the int-conversion limit allows
+            raise ParseError(f"number of {len(text)} digits is too long",
+                             self.position(index)) from None
+
+    def parse_expr(self) -> _Value:
         value = self.parse_term()
-        if self.peek()[0] not in ("+", "-"):
+        if self.peek() not in ("+", "-"):
             return value
-        total = dict(value.terms())  # not Poly2's +, which would copy the sum per term
-        while self.peek()[0] in ("+", "-"):
-            operator = self.advance()
-            negate = operator[0] == "-"
-            for key, coeff in self.parse_term().terms():
+        total = dict(_terms(value))  # not Poly2's +, which would copy the sum per term
+        while self.peek() in ("+", "-"):
+            operator = self.index
+            negate = self.advance() == "-"
+            for key, coeff in _terms(self.parse_term()):
                 if negate:
                     coeff = -coeff
                 if key in total:
@@ -196,105 +256,120 @@ class _Parser:
                     bits = max(coeff.numerator.bit_length(), coeff.denominator.bit_length())
                     if bits > MAX_POWER_BITS:
                         raise ParseError(f"sum of {bits} bits exceeds {MAX_POWER_BITS}",
-                                         operator[2])
+                                         self.position(operator))
                 if coeff:
                     total[key] = coeff
                 else:
                     del total[key]
         return Poly2(total)
 
-    def parse_term(self) -> Poly2:
+    def parse_term(self) -> _Value:
         value = self.parse_factor()
-        while self.peek()[0] == "*":
-            star = self.advance()
+        while self.peek() == "*":
+            star = self.index
+            self.advance()
             factor = self.parse_factor()
-            degree = value.degree + factor.degree
+            degree = _degree(value) + _degree(factor)
             if degree > MAX_DEGREE:
                 raise ParseError(f"product of total degree {degree} exceeds {MAX_DEGREE}",
-                                 star[2])
-            if not (value.is_zero or factor.is_zero or _is_unit_monomial(factor)
-                    or _is_unit_monomial(value)):
-                bits = _product_bits(value, factor)
+                                 self.position(star))
+            if _sized(value) and _sized(factor):
+                bits = _product_bits(_poly(value), _poly(factor))
                 if bits > MAX_POWER_BITS:
                     raise ParseError(f"product of up to {bits} bits exceeds {MAX_POWER_BITS}",
-                                     star[2])
-            value = value * factor
+                                     self.position(star))
+            if isinstance(value, tuple) and isinstance(factor, tuple):
+                # A Fraction times 1 still costs two gcds; x and y carry an int 1.
+                coeff = value[0] if factor[0] == 1 else value[0] * factor[0]
+                value = (coeff, value[1] + factor[1], value[2] + factor[2])
+            else:
+                value = _poly(value) * _poly(factor)
         return value
 
-    def parse_factor(self) -> Poly2:
+    def parse_factor(self) -> _Value:
         negate = False
-        while self.peek()[0] == "-":
+        while self.peek() == "-":
             self.advance()
             negate = not negate
         value = self.parse_power()
-        return -value if negate else value
+        if not negate:
+            return value
+        if isinstance(value, tuple):
+            coeff, i, j = value
+            return (-coeff, i, j)
+        return -value
 
-    def parse_power(self) -> Poly2:
+    def parse_power(self) -> _Value:
         value = self.parse_atom()
-        while self.peek()[0] == "^":
+        while self.peek() == "^":
             self.advance()
-            position = self.peek()[2]
+            index = self.index
             exponent = self.parse_exponent()
-            degree = value.degree * exponent
+            degree = _degree(value) * exponent
             if degree > MAX_DEGREE:
                 raise ExponentError(f"power of total degree {degree} exceeds {MAX_DEGREE}",
-                                    position)
+                                    self.position(index))
             if exponent > MAX_DEGREE:
-                raise ExponentError(f"exponent {exponent} exceeds {MAX_DEGREE}", position)
-            if not value.is_zero and exponent > 1 and not _is_unit_monomial(value):
-                bits = _power_bits(value, exponent)
+                raise ExponentError(f"exponent {exponent} exceeds {MAX_DEGREE}",
+                                    self.position(index))
+            if exponent > 1 and _sized(value):
+                bits = _power_bits(_poly(value), exponent)
                 if bits > MAX_POWER_BITS:
-                    kind = "constant power" if value.degree == 0 else "power"
+                    kind = "constant power" if _degree(value) == 0 else "power"
                     raise ExponentError(f"{kind} of up to {bits} bits exceeds {MAX_POWER_BITS}",
-                                        position)
-            value = value ** exponent
+                                        self.position(index))
+            if isinstance(value, tuple):
+                coeff, i, j = value
+                value = (coeff ** exponent, i * exponent, j * exponent)
+            else:
+                value = value ** exponent
         return value
 
     def parse_exponent(self) -> int:
+        index = self.index
         token = self.peek()
-        kind, text, position = token
-        if kind == "-":
-            raise ExponentError("negative exponent", position, ("nonnegative integer",))
-        if kind != _NUMBER:
-            raise _unexpected(token, ("nonnegative integer",))
+        if token == "-":
+            raise ExponentError("negative exponent", self.position(index),
+                                ("nonnegative integer",))
+        if _kind(token) != _NUMBER:
+            raise self.unexpected(index, ("nonnegative integer",))
         self.advance()
-        if "." in text:
-            raise ExponentError("non-integer exponent", position, ("nonnegative integer",))
+        if "." in token:
+            raise ExponentError("non-integer exponent", self.position(index),
+                                ("nonnegative integer",))
         # A slash right after the exponent would make it fractional; there is
         # no division operator, so report it as an exponent problem.
-        if self.peek()[0] == "/" and self.tokens[self.index + 1][0] == _NUMBER:
-            raise ExponentError("non-integer exponent", self.peek()[2],
+        if self.peek() == "/" and _kind(self.tokens[self.index + 1]) == _NUMBER:
+            raise ExponentError("non-integer exponent", self.position(self.index),
                                 ("nonnegative integer",))
-        return _number(token)
+        return self.number(index)
 
-    def parse_atom(self) -> Poly2:
+    def parse_atom(self) -> _Value:
+        index = self.index
         token = self.advance()
-        kind = token[0]
-        if kind == _NUMBER:
-            numerator, denominator = _number(token), 1
-            if self.peek()[0] == "/":
-                self.advance()
-                denom_token = self.expect(_NUMBER, ("number",))
-                denominator = _number(denom_token)
-                if denominator == 0:
-                    raise ParseError("zero denominator", denom_token[2], ("nonzero number",))
-            return Poly2.const(Fraction(numerator, denominator))
-        if kind == _VAR:
-            return _VARIABLES[token[1]]
-        if kind == "(":
+        if token in _VARIABLES:
+            return _VARIABLES[token]
+        if token == "(":
             self.depth += 1
             if self.depth > MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", token[2])
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
+                                 self.position(index))
             inner = self.parse_expr()
             self.expect(")", (")",))
             self.depth -= 1
             return inner
-        raise _unexpected(token, ("number", "x", "y", "(", "-"))
-
-
-def _unexpected(token: _Token, expected: tuple[str, ...]) -> ParseError:
-    kind, text, position = token
-    return ParseError(f"unexpected {kind} {text!r}", position, expected)
+        if _kind(token) != _NUMBER:
+            raise self.unexpected(index, ("number", "x", "y", "(", "-"))
+        value = self.number(index)
+        if self.peek() == "/":
+            self.advance()
+            self.expect(_NUMBER, ("number",))
+            denominator = self.number(self.index - 1)
+            if denominator == 0:
+                raise ParseError("zero denominator", self.position(self.index - 1),
+                                 ("nonzero number",))
+            value = Fraction(value, denominator)
+        return (value, 0, 0) if value else Poly2.zero()
 
 
 def parse_poly(text: str, decimals: bool = False) -> Poly2:
@@ -305,12 +380,12 @@ def parse_poly(text: str, decimals: bool = False) -> Poly2:
     product over MAX_DEGREE or MAX_POWER_BITS and on a sum over
     MAX_POWER_BITS; ExponentError on a negative or fractional exponent and
     on a power over MAX_DEGREE or MAX_POWER_BITS.  The result is built with
-    Poly2's public operations only: constants and variables, negation,
-    products and powers, and one Poly2 per sum from its terms' coefficients.
+    Poly2's public operations only: one Poly2 per sum or monomial from its
+    terms' coefficients, and negation, products and powers where a factor is
+    a parenthesized sum or zero.
     """
-    parser = _Parser(_tokenize(text, decimals))
+    parser = _Parser(text, decimals)
     result = parser.parse_expr()
-    trailing = parser.peek()
-    if trailing[0] != _END:
-        raise _unexpected(trailing, ("+", "-", "*", "^", "end of input"))
-    return result
+    if parser.peek():
+        raise parser.unexpected(parser.index, ("+", "-", "*", "^", "end of input"))
+    return _poly(result)

@@ -523,10 +523,11 @@ def _tokenize(text: str, decimals: bool) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], power_check=None):
+    def __init__(self, tokens: list[_Token], power_check=None, product_check=None):
         self.tokens = tokens
         self.index = 0
         self.power_check = power_check
+        self.product_check = product_check
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -559,6 +560,8 @@ class _Parser:
             if degree > MAX_DEGREE:
                 raise ParseError(f"product of total degree {degree} exceeds {MAX_DEGREE}",
                                  star.pos)
+            if self.product_check is not None:
+                self.product_check(value, factor, star.pos)
             value = value * factor
         return value
 
@@ -630,16 +633,20 @@ def _number_value(token: _Token) -> Fraction:
     return Fraction(token.text)
 
 
-def reference_parse_poly(text: str, decimals: bool = False, power_check=None) -> Poly2:
-    """bkfact.parsing.parse_poly before it tokenized with one regex and
-    accumulated terms in dicts: one _Token and one Poly2 per atom.
+def reference_parse_poly(text: str, decimals: bool = False, power_check=None,
+                         product_check=None) -> Poly2:
+    """bkfact.parsing.parse_poly before it tokenized with one regex,
+    accumulated terms in dicts and folded monomial products: one _Token and
+    one Poly2 per atom, and Poly2 arithmetic for every operator.
 
     Raises ParseError (with position and the expected-token set) on
     malformed input and ExponentError on negative or fractional exponents.
-    power_check(base, exponent, position), if given, runs before each power
-    is computed and may raise.
+    power_check(base, exponent, position), if given, runs on the whole Poly2
+    operands before each power is computed, after the degree check, and
+    product_check(left, right, position) before each product; either may
+    raise.
     """
-    parser = _Parser(_tokenize(text, decimals), power_check)
+    parser = _Parser(_tokenize(text, decimals), power_check, product_check)
     result = parser.parse_expr()
     trailing = parser.peek()
     if trailing.kind != _END:

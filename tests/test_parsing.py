@@ -394,6 +394,75 @@ class TestAgainstReference:
             assert_matches_reference(f"({text})*({text}) - x^2*({text})^2", False)
 
 
+def _unit_monomial(p: Poly2) -> bool:
+    terms = p.terms()
+    return len(terms) == 1 and terms[0][1] in (1, -1)
+
+
+def _capped_power(base: Poly2, exponent: int, position: int) -> None:
+    if exponent > MAX_DEGREE:
+        raise ExponentError(f"exponent {exponent} exceeds {MAX_DEGREE}", position)
+    if not base.is_zero and exponent > 1 and not _unit_monomial(base):
+        bits = parsing._power_bits(base, exponent)
+        if bits > MAX_POWER_BITS:
+            kind = "constant power" if base.degree == 0 else "power"
+            raise ExponentError(f"{kind} of up to {bits} bits exceeds {MAX_POWER_BITS}",
+                                position)
+
+
+def _capped_product(left: Poly2, right: Poly2, position: int) -> None:
+    if not (left.is_zero or right.is_zero or _unit_monomial(left) or _unit_monomial(right)):
+        bits = parsing._product_bits(left, right)
+        if bits > MAX_POWER_BITS:
+            raise ParseError(f"product of up to {bits} bits exceeds {MAX_POWER_BITS}", position)
+
+
+def _capped_reference(text, decimals):
+    return reference_parse_poly(text, decimals, power_check=_capped_power,
+                                product_check=_capped_product)
+
+
+def _literal(rng: random.Random, decimals: bool) -> str:
+    """A literal of 1 to 14,000 bits, most near 7,000 or 14,000, sometimes
+    over a denominator or, with decimals, with a decimal point."""
+    bits = rng.choice([rng.randint(1, 8), rng.randint(6990, 7010), rng.randint(13990, 14000)])
+    text = str(rng.getrandbits(bits) | 1 << (bits - 1))
+    shape = rng.random()
+    if shape < 0.25:
+        text += f"/{rng.getrandbits(rng.choice([3, 7000, 14000])) | 1}"
+    elif decimals and shape < 0.4:
+        text = f"{text[:-1]}.{text[-1]}"
+    return text
+
+
+FOLD_OPERANDS = ["x", "y", "1", "-1", "0", "0/7", "(2*x)", "(x - 2/3*y)", "(-y)", "(x - x)"]
+
+
+class TestFoldAgainstReference:
+    """parse_poly folds products of numbers, x, y and their powers into one
+    monomial; the reference computes every operator on Poly2s and applies
+    the caps to whole Poly2 operands.  Both must give the same value, or the
+    same error type, message and position."""
+
+    @pytest.mark.parametrize("decimals", [False, True])
+    def test_monomial_products_and_powers(self, decimals):
+        rng = random.Random(30 + decimals)
+        for _ in range(1500):
+            factors = []
+            for _ in range(rng.randint(1, 4)):
+                factor = (_literal(rng, decimals) if rng.random() < 0.45
+                          else rng.choice(FOLD_OPERANDS))
+                if rng.random() < 0.5:
+                    factor += f"^{rng.randint(0, 40)}"
+                factors.append(factor)
+            text = "".join(rng.choice(["*", "*", "*-", "*(-1)*"]) + factor
+                           for factor in factors)[1:]
+            if rng.random() < 0.2:
+                text = "-" + text
+            got = _outcome(parse_poly, text, decimals)
+            assert got == _outcome(_capped_reference, text, decimals), text
+
+
 class TestFormat:
     def test_examples(self):
         assert format_poly(Poly2.zero()) == "0"

@@ -148,6 +148,15 @@ MUTANTS = (
            'if bits > MAX_POWER_BITS:\n                        raise ParseError(f"sum',
            'if bits > MAX_POWER_BITS + 1:\n                        raise ParseError(f"sum',
            ("tests/test_parsing.py",)),
+    Mutant("parsing-fold-unit-exemption-narrowed", "parsing.py",
+           "terms[0][1] not in (1, -1)", "terms[0][1] not in (1,)", ("tests/test_parsing.py",)),
+    Mutant("parsing-fold-power-adds-exponents", "parsing.py",
+           "i * exponent", "i + exponent", ("tests/test_parsing.py",)),
+    Mutant("parsing-fold-zero-literal-monomial", "parsing.py",
+           "(value, 0, 0) if value else Poly2.zero()", "(value, 0, 0)", ("tests/test_parsing.py",)),
+    Mutant("parsing-fold-product-ignores-unit-factor", "parsing.py",
+           "value[0] if factor[0] == 1 else", "value[0] if factor[0] in (1, -1) else",
+           ("tests/test_parsing.py",)),
     Mutant("cli-worst-order-swapped", "cli.py",
            "for status in (EX_VIOLATED, EX_UNKNOWN):", "for status in (EX_UNKNOWN, EX_VIOLATED):",
            ("tests/test_cli.py",)),
