@@ -257,6 +257,7 @@ def quad_box_extrema(d: Poly2, box: Box) -> Extrema:
             candidates.append(((Fraction(nu, det) * m, Fraction(nv, det) * n),
                                Fraction(2 * f * det + du * nu + dv * nv, 2 * det * scale)))
     elif a == b == c == 0:
+        # The chord branch finds the same extrema; this is the fast path for affine d.
         if du == dv == 0:  # a constant is attained everywhere; affine d has no critical point
             candidates.append(((Fraction(0), Fraction(0)), Fraction(f, scale)))
     elif 2 * a * dv == b * du and b * dv == 2 * c * du:

@@ -175,9 +175,6 @@ class Poly2:
     def __pow__(self, n: int) -> "Poly2":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        if len(self._terms) == 1:
-            ((i, j), coeff), = self._terms.items()
-            return Poly2.monomial(i * n, j * n, coeff ** n)
         result = Poly2.const(1)
         for _ in range(n):
             result = result * self

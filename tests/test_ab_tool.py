@@ -1,6 +1,7 @@
 """tools/ab.py runs end to end: HEAD against HEAD, one round per layer on a
 tiny corpus, prints one line per round, a summary and a JSON line whose
-deterministic counts agree.  No timing is asserted; the host is noisy."""
+output digests and traced deterministic counts agree.  No timing is
+asserted; the host is noisy."""
 
 import json
 import subprocess
@@ -36,5 +37,6 @@ def test_head_against_head(checkout, layer):
     result = json.loads(lines[2])
     assert (result["layer"], result["rounds"]) == (layer, 1)
     assert result["wins"] in (0, 1) and result["aa_min"] == result["aa_max"] > 0
+    assert result["outputs_equal"] and result["digests"]["base"] == result["digests"]["change"]
     assert result["counts_equal"] and result["counts"]["base"] == result["counts"]["change"]
-    assert set(result["counts"]["base"]) == {"mul_calls", "enclosures", "digest"}
+    assert {"poly.mul_calls", "poly.enclosures"} <= set(result["counts"]["base"])

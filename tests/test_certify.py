@@ -87,6 +87,8 @@ class TestQfCriteria:
         with pytest.raises(PreconditionViolatedError):
             qf_neg_casewise(UnivQuad(1, 1, 0))
         with pytest.raises(PreconditionViolatedError):
+            qf_neg_casewise(UnivQuad(0, 1, 0))
+        with pytest.raises(PreconditionViolatedError):
             qf_linear(UnivQuad(0, 0, 1))
         with pytest.raises(PreconditionViolatedError):
             qf_nonpos_combined(UnivQuad(Fraction(1, 3), 0, 0))
@@ -117,9 +119,11 @@ class TestQuadIntervalDecision:
         assert not quad_interval_decision(UnivQuad(-1, 0, 4), 1, 4)
 
     def test_vertex_at_endpoint(self):
-        # a = -1, b = 2: vertex at x = 1, value c + 1.  The vertex sits on
-        # the excluded endpoint, so value exactly 4 there is allowed.
-        assert quad_interval_decision(UnivQuad(-1, 2, 3), 1, 4)
+        # a = -1, b = +-2: vertex at x = +-1, value c + 1.  The vertex sits on
+        # the excluded endpoint, so value exactly 4 there is allowed; the
+        # combined criterion's b -+ 2a = 0 tests must admit it too.
+        for q in (UnivQuad(-1, 2, 3), UnivQuad(-1, -2, 3)):
+            assert quad_interval_decision(q, 1, 4) and qf_nonpos_combined(q)
         # Pushed inside (b = 1, vertex at 1/2, value c + 1/4 = 4) it is not.
         assert not quad_interval_decision(UnivQuad(-1, 1, Fraction(15, 4)), 1, 4)
         # General half-width m = 3/2: b = 2*a*m parks the vertex at x = -m.

@@ -171,8 +171,10 @@ class TestExitCodes:
         assert run(capsys, "certify", "--a00", "x^4", "--eps", "1/2", "--depth", "0")[0] == 2
 
     def test_boundary_tight_is_zero(self, capsys):
-        status, out, _ = run(capsys, "certify", "--a00", "x^4", "--eps", "1", "--depth", "0")
-        assert status == 0 and "certificate = inside(margin = 0)" in out
+        # |y^3| = 1 only on y = +-1: the lower edge is excluded too.
+        for flags in (("--a00", "x^4", "--depth", "0"), ("--a00", "y^3")):
+            status, out, _ = run(capsys, "certify", "--eps", "1", *flags)
+            assert status == 0 and out.count("certificate = inside(margin = 0)") == 2
 
     def test_usage_error(self, capsys):
         status, _, err = run(capsys, "certify", "--eps", "0")

@@ -244,6 +244,9 @@ class TestCoefficientBound:
         # (x + y + 1)^31 has coefficients below 3^31 < 2^50.
         p = parse_poly(f"(x + y + 1)^31*{2 ** 13000}")
         assert p.coeff(0, 0) == 2 ** 13000 and p.degree == 31
+        # A sum of exactly MAX_POWER_BITS bits is allowed; "doubled" is one over.
+        half = 2 ** (MAX_POWER_BITS - 2)
+        assert parse_poly(f"{half}*x + {half}*x") == Poly2.monomial(1, 0, 2 ** (MAX_POWER_BITS - 1))
 
     def test_long_literal_times_monomial(self):
         literal = int("7" * 4250)  # 14,116 bits, over the bound itself

@@ -67,8 +67,8 @@ class TestArithmetic:
         assert (X + one) * (X - one) == X * X - one
 
     def test_one_term_factors(self):
-        # Powers of one term skip the product loop, and a one-term factor
-        # gives distinct product keys; values must still multiply pointwise.
+        # A one-term factor gives distinct product keys; products and powers
+        # must still multiply pointwise.
         rng = random.Random(5)
         for _ in range(100):
             p = rand_poly2(rng, 3)
@@ -359,7 +359,7 @@ class TestBernsteinAgainstReference:
         assert_matches_reference(parse_poly(text), rect)
 
     def test_rejects_empty_sides(self):
-        for rect in ((1, 1, 0, 1), (0, 1, 2, 1)):
+        for rect in ((1, 1, 0, 1), (0, 1, 2, 1), (-1, 1, 0, 0)):
             with pytest.raises(ValueError):
                 bernstein_on_rect(X * Y, *rect)
 
@@ -508,6 +508,8 @@ class TestBoxTypes:
     def test_box_validation(self):
         with pytest.raises(ValueError):
             Box(0, 1)
+        with pytest.raises(ValueError):
+            Box(1, 0)
         with pytest.raises(ValueError):
             Box(1, Fraction(-1, 2))
 

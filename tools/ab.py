@@ -23,11 +23,13 @@ One line is printed per round, with the three times, the change/base ratio
 (change over the mean of the two base runs) and the base/base ratio (second
 base run over the first).  Then a summary: the rounds the change won, the
 median ratio, both medians and the A/A spread.  The last line is one JSON
-object with the same figures and each tree's deterministic counts
-(Poly2.__mul__ calls, enclosures and a digest of the layer's results, from
-one untimed pass); counts_equal is false when the trees did unequal work.
-A claim should show the change's median ratio outside the A/A spread, won
-in at least 9 of 10 rounds.  Run from a git checkout.
+object with the same figures, each tree's digest of the layer's results and
+its deterministic counts: every count-unit metric of the tree's own
+bench/spans.py Tracer (poly.mul_calls, poly.enclosures, ...), over one
+untimed traced pass.  outputs_equal is false when the digests differ,
+counts_equal when the trees did unequal work; a change may remove work and
+keep its outputs.  A claim should show the change's median ratio outside
+the A/A spread, won in at least 9 of 10 rounds.  Run from a git checkout.
 """
 
 from __future__ import annotations
@@ -50,10 +52,11 @@ ROOT = Path(__file__).resolve().parent.parent
 LAYERS = ("parse", "roots", "bernstein", "mul", "batch")
 
 
-def _load_corpus():
-    spec = importlib.util.spec_from_file_location("corpus", ROOT / "bench" / "corpus.py")
+def _load(tree: Path, name: str):
+    """bench/NAME.py of TREE, loaded by path."""
+    spec = importlib.util.spec_from_file_location(name, tree / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    sys.modules["corpus"] = module  # dataclasses look their module up by name
+    sys.modules[name] = module  # dataclasses look their module up by name
     spec.loader.exec_module(module)
     return module
 
@@ -100,7 +103,7 @@ def _products(corpus, seed: int, count: int) -> list:
 def _layer(name: str, seed: int, count: int, workdir: Path):
     """The untimed setup of a layer; returns its timed pass."""
     from bkfact import certify, cli, parsing, poly
-    corpus = _load_corpus()
+    corpus = _load(ROOT, "corpus")
     if name == "parse":
         texts = [text for cases in (corpus.lowdeg_cases(seed, count),
                                     corpus.highdeg_cases(seed, count))
@@ -127,29 +130,6 @@ def _layer(name: str, seed: int, count: int, workdir: Path):
     return run
 
 
-def _counts(run) -> dict:
-    """Poly2.__mul__ calls, enclosures and a digest of the results of one
-    untimed pass."""
-    from bkfact import certify, poly
-    counts = {"mul_calls": 0, "enclosures": 0}
-    multiply, enclose = poly.Poly2.__mul__, certify.bernstein_on_rect
-
-    def counted_mul(left, right):
-        counts["mul_calls"] += 1
-        return multiply(left, right)
-
-    def counted_enclosure(*args, **kwargs):
-        counts["enclosures"] += 1
-        return enclose(*args, **kwargs)
-    poly.Poly2.__mul__, certify.bernstein_on_rect = counted_mul, counted_enclosure
-    try:
-        result = run()
-    finally:
-        poly.Poly2.__mul__, certify.bernstein_on_rect = multiply, enclose
-    counts["digest"] = hashlib.sha256(repr(result).encode()).hexdigest()[:16]
-    return counts
-
-
 def _work(tree: Path, layer: str, seed: int, count: int, repeat: int) -> None:
     sys.path.insert(0, str(tree / "src"))
     with tempfile.TemporaryDirectory() as workdir:
@@ -159,8 +139,13 @@ def _work(tree: Path, layer: str, seed: int, count: int, repeat: int) -> None:
             start = time.perf_counter()
             run()
             best = min(best, time.perf_counter() - start)
-        counts = _counts(run)
-    print(json.dumps({"seconds": best, "counts": counts}))
+        spans = _load(tree, "spans")
+        with spans.Tracer() as tracer:
+            result = run()
+    counts = {name: value for name, value in tracer.layer_metrics().items()
+              if spans.LAYER_UNITS[name] == "count"}
+    print(json.dumps({"seconds": best, "counts": counts,
+                      "digest": hashlib.sha256(repr(result).encode()).hexdigest()[:16]}))
 
 
 def _spawn(tree: Path, args) -> dict:
@@ -191,14 +176,16 @@ def compare(args) -> dict:
                   f"base {c * 1e3:.2f} ms; change/base {ratios[-1]:.3f}, "
                   f"base/base {controls[-1]:.3f}", flush=True)
     counts = {"base": first["counts"], "change": change["counts"]}
+    digests = {"base": first["digest"], "change": change["digest"]}
     return {"layer": args.layer, "seed": args.seed, "count": args.count, "rounds": args.rounds,
             "wins": sum(ratio < 1 for ratio in ratios),
             "ratio_median": statistics.median(ratios),
             "aa_min": min(controls), "aa_max": max(controls),
             "base_ms_median": statistics.median(base_times) * 1e3,
             "change_ms_median": statistics.median(change_times) * 1e3,
+            "outputs_equal": digests["base"] == digests["change"] == second["digest"],
             "counts_equal": counts["base"] == counts["change"] == second["counts"],
-            "counts": counts}
+            "digests": digests, "counts": counts}
 
 
 def main(argv=None) -> int:
@@ -220,6 +207,7 @@ def main(argv=None) -> int:
           f"median change/base {result['ratio_median']:.3f}, A/A base/base "
           f"{result['aa_min']:.3f}-{result['aa_max']:.3f}; medians base "
           f"{result['base_ms_median']:.2f} ms, change {result['change_ms_median']:.2f} ms; "
+          f"outputs {'equal' if result['outputs_equal'] else 'UNEQUAL'}, "
           f"counts {'equal' if result['counts_equal'] else 'UNEQUAL'}")
     print(json.dumps(result))
     return 0

@@ -24,9 +24,14 @@ The exit status is 0 when every mutant is killed, 1 otherwise, and 2 when
 a NAME is unknown or an old snippet does not occur exactly once in its
 file; then no mutant runs, and the catalogue needs updating for the code.
 
-Equivalent mutants, which change no behaviour, are left out: with every
-|b| <= level, the face rule's `== level` and `>= level` agree, and so do
-the edge-vertex `<` and `<=` in quad_box_extrema.
+Equivalent mutants, which change no behaviour, are left out:
+  - with every |b| <= level, the face rule's `== level` and `>= level`
+    agree, and so do the edge-vertex `<` and `<=` in quad_box_extrema;
+  - quad_box_extrema's `a == b != c == 0` and `a == b == c != 0` hold only
+    where det = 4ac - b^2 != 0, which the branch before them takes;
+  - qf_neg_casewise's case_inside with `2 * a - b <= 0` or
+    `2 * a + b <= 0`: at b = 2a case_inside implies case_left, and at
+    b = -2a case_right.
 """
 
 from __future__ import annotations
@@ -95,6 +100,10 @@ MUTANTS = (
            (POLY,)),
     Mutant("poly-contains-open-closed", "poly.py",
            "abs(as_fraction(x)) < self.m", "abs(as_fraction(x)) <= self.m", (POLY,)),
+    Mutant("poly-box-admits-zero-height", "poly.py",
+           "self.n <= 0", "self.n < 0", (POLY,)),
+    Mutant("poly-rect-admits-zero-height", "poly.py",
+           "yhi <= ylo", "yhi < ylo", (POLY,)),
     # Bernstein subdivision.
     Mutant("certify-face-rule-and", "certify.py",
            "if not (on_x or on_y):", "if not (on_x and on_y):", (CERTIFY,)),
@@ -126,6 +135,17 @@ MUTANTS = (
            "if extreme < eps:", "if extreme <= eps:", (CERTIFY,)),
     Mutant("certify-inward-sign-dropped", "certify.py",
            "if sign * value >= eps:", "if value >= eps:", (CERTIFY,)),
+    Mutant("certify-lower-y-face-flipped", "certify.py",
+           "ylo == -box.n", "ylo != -box.n", ("tests/test_cli.py",)),
+    Mutant("certify-casewise-admits-zero-a", "certify.py",
+           'relative to the interval."""\n    if q.a >= 0:',
+           'relative to the interval."""\n    if q.a > 0:', (CERTIFY,)),
+    Mutant("certify-combined-left-vertex-strict", "certify.py",
+           "b - 2 * a <= 0 or b + 2 * a >= 0\n", "b - 2 * a < 0 or b + 2 * a >= 0\n",
+           (CERTIFY,)),
+    Mutant("certify-combined-right-vertex-strict", "certify.py",
+           "b - 2 * a <= 0 or b + 2 * a >= 0\n", "b - 2 * a <= 0 or b + 2 * a > 0\n",
+           (CERTIFY,)),
     # The grid falsifier.
     Mutant("falsify-power-of-j-exponent", "certify.py",
            "row[b] += c * i ** a", "row[b] += c * i ** b", (CERTIFY,)),
@@ -147,6 +167,10 @@ MUTANTS = (
     Mutant("parsing-sum-bits-loosened", "parsing.py",
            'if bits > MAX_POWER_BITS:\n                        raise ParseError(f"sum',
            'if bits > MAX_POWER_BITS + 1:\n                        raise ParseError(f"sum',
+           ("tests/test_parsing.py",)),
+    Mutant("parsing-sum-bits-tightened", "parsing.py",
+           'if bits > MAX_POWER_BITS:\n                        raise ParseError(f"sum',
+           'if bits >= MAX_POWER_BITS:\n                        raise ParseError(f"sum',
            ("tests/test_parsing.py",)),
     Mutant("parsing-fold-unit-exemption-narrowed", "parsing.py",
            "terms[0][1] not in (1, -1)", "terms[0][1] not in (1,)", ("tests/test_parsing.py",)),
